@@ -10,9 +10,10 @@ them, recording the resolved configuration, input hashes, the tool version,
 and output hashes; re-running the manifest's ``argv`` (plus any ``--out``)
 reproduces every output byte for byte.
 
-Exit codes: 0 success, 1 usage, 2 bad input data, 3 numeric failure
-(sweeps report per-point optimizer failures as warnings and exit 0 unless
-``--strict``).  All numbers are printed in shortest round-trip form.
+Exit codes: 0 success, 1 usage, 2 bad input data, 3 numeric failure.
+``sweep`` reports per-point optimizer failures as warnings and exits 0
+unless given ``--strict``, a flag only ``sweep`` takes.  All numbers are
+printed in shortest round-trip form.
 """
 
 from __future__ import annotations
@@ -168,12 +169,6 @@ def _emit(args, verb: str, files: dict, inputs=()) -> None:
     (out_dir / "manifest.json").write_text(_json_text(manifest), encoding="utf-8")
 
 
-def _load(args) -> FactorModel:
-    if not args.model:
-        raise UsageError("--model is required for this command")
-    return load_model(args.model)
-
-
 def _report_doc(report: CalibrationReport) -> dict:
     d = report.discrete
     return {
@@ -220,7 +215,7 @@ def _strategy_from_flags(model: FactorModel, args) -> Strategy:
 
 
 def cmd_moments(args) -> int:
-    model = _load(args)
+    model = load_model(args.model)
     strategy = _strategy_from_flags(model, args)
     mom = moments(model, strategy)
     doc = {
@@ -292,7 +287,7 @@ def _sweep_csv_strategy(res, params, m: int, n: int):
 def cmd_sweep(args) -> int:
     from .svg import line_plot
 
-    model = _load(args)
+    model = load_model(args.model)
     config = OptimizerConfig(seed=args.seed)
     warn_rows = []
 
@@ -351,7 +346,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    model = _load(args)
+    model = load_model(args.model)
     if args.discrete is not None:
         if args.discrete < 24:
             raise UsageError("--discrete needs at least 24 months")
@@ -403,14 +398,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    model = _load(args)
+    model = load_model(args.model)
     gamma = _parse_vector(args.gamma, model.n, "--gamma")
     params = CriterionParams(theta=args.theta, gamma=gamma)
-    parts = args.grid_bounds.split(":")
-    if len(parts) != 2:
-        raise UsageError(f"--grid-bounds: expected lo:hi, got {args.grid_bounds!r}")
     try:
-        lo, hi = float(parts[0]), float(parts[1])
+        lo, hi = (float(v) for v in args.grid_bounds.split(":"))
     except ValueError:
         raise UsageError(f"--grid-bounds: expected lo:hi, got {args.grid_bounds!r}") from None
     try:
@@ -439,13 +431,12 @@ def cmd_optimize(args) -> int:
     return 0
 
 
-def _add_common(sub, model_required=True):
-    sub.add_argument("--model", help="model JSON path", required=False)
+def _add_common(sub, threads=False):
+    sub.add_argument("--model", required=True, help="model JSON path")
     sub.add_argument("--out", help="output directory (writes files + manifest.json)")
     sub.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    sub.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
-    sub.add_argument("--strict", action="store_true",
-                     help="exit 3 on any flagged numeric problem")
+    if threads:
+        sub.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -463,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use the bundled published estimates instead of a CSV")
     p.add_argument("--persistence-map", choices=("euler", "log"), default="euler",
                    help="monthly persistence to drift map (default euler)")
-    _add_common(p)
+    p.add_argument("--out", help="output directory (writes files + manifest.json)")
     p.set_defaults(func=cmd_calibrate, out=".")
 
     p = subs.add_parser("moments", help="closed-form long-run moments for one strategy")
@@ -474,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, default=0.1, help="oracle step (default 0.1)")
     p.add_argument("--horizon", type=float, default=10000.0, help="oracle horizon (default 1e4)")
     p.add_argument("--paths", type=int, default=10000, help="oracle paths (default 1e4)")
-    _add_common(p)
+    _add_common(p, threads=True)
     p.set_defaults(func=cmd_moments)
 
     p = subs.add_parser("sweep", help="sweep a strategy coefficient or criterion parameter")
@@ -486,6 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, default=1.0, help="fixed theta for mode gamma (default 1)")
     p.add_argument("--gamma", default="0", help="fixed gamma for mode theta (default 0)")
     p.add_argument("--svg", action="store_true", help="also write sweep.svg")
+    p.add_argument("--strict", action="store_true",
+                   help="exit 3 if any sweep point failed or is not stationary")
     _add_common(p)
     p.set_defaults(func=cmd_sweep, out=".")
 
@@ -504,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write per-path terminal values to paths.csv (needs --out)")
     p.add_argument("--discrete", type=int, metavar="MONTHS",
                    help="emit a monthly synthetic series (series.csv) instead of path stats")
-    _add_common(p)
+    _add_common(p, threads=True)
     p.set_defaults(func=cmd_simulate)
 
     p = subs.add_parser("optimize", help="maximize the criterion over strategies")

@@ -4,10 +4,23 @@ The objective over linear strategies (h, H) is
 
     W = growth_rate - (theta/4) * variance_rate + gamma . wealth_factor_cov,
 
-a quartic, generally nonconvex function of the strategy coefficients (the
-shock loading contains the bilinear h'SS'H term), so the optimizer runs a
-coarse global grid scan followed by Nelder-Mead refinement from the best
-grid cells.  The theta coefficient is exactly theta/4.
+with the theta coefficient exactly theta/4.  W is quartic and nonconvex in
+(h, H) jointly, but for fixed H a concave quadratic in h: the Lyapunov
+offset of the variance rate depends on H only, and the shock loading
+Y = G h + y0 is affine in h.  So the optimizer scans the m*n entries of H
+alone, refines the best cells by Nelder-Mead, and solves for h at each point.
+
+Unboundedness is decided exactly.  With SS' = Sigma Sigma', D the
+stationary factor covariance and w = B^-T gamma:
+
+* theta = 0: with h maximized out, W is quadratic in H with curvature
+  tr(H'SS'H (D w w'D - D)) / 2, so it is unbounded iff w'D w > 1, along
+  H = u w', h = H D w.
+* theta > 0 with SS' positive definite: the quartic part of the variance
+  rate bounds W.
+* Singular SS' (FactorModel allows it): W is linear in h along the null
+  space of its h-Hessian, and at theta = 0 also in the H with columns in
+  the null space of SS'; a nonzero slope there means no maximum.
 
 Everything here is deterministic: the sampling plan for high-dimensional
 scans is seeded from the config, restart results are merged by index, and
@@ -43,6 +56,9 @@ _FULL_GRID_MAX_DIM = 2
 _SCAN_BUDGET = 4096
 _STATIONARITY_STEP = 1e-5
 _STATIONARITY_NORM = 1e-6
+# Relative cut-offs for a null direction of the h-Hessian and a slope along one.
+_SINGULAR = 1e-12
+_NULL_SHARE = 1e-9
 
 
 class UnboundedCriterionError(RuntimeError):
@@ -55,11 +71,11 @@ class UnboundedCriterionError(RuntimeError):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Grid-scan and refinement settings.
+    """Grid-scan and refinement settings for the search over H.
 
-    ``grid_bounds`` applies to every strategy coordinate.  ``local_restarts``
-    is how many distinct grid cells seed a Nelder-Mead run.  ``seed`` only
-    matters above 4 dimensions, where the scan is a Latin hypercube.
+    ``grid_bounds`` and ``grid_points`` apply to every entry of H (h is solved
+    for).  ``local_restarts`` distinct grid cells seed Nelder-Mead runs.
+    ``seed`` only matters when m*n > 4, where the scan is a Latin hypercube.
     """
 
     grid_bounds: tuple = (-3.0, 3.0)
@@ -143,14 +159,7 @@ def evaluate(model: FactorModel, strategy: Strategy, params: CriterionParams,
 
 
 def _split(x: np.ndarray, m: int, n: int) -> Strategy:
-    return Strategy(h=x[:m].copy(), H=x[m:].reshape(m, n).copy())
-
-
-def _objective(model, params, dlt, m, n, counter):
-    def f(x):
-        counter[0] += 1
-        return evaluate(model, _split(np.asarray(x, dtype=float), m, n), params, factor_cov=dlt)
-    return f
+    return Strategy(h=x[:m], H=x[m:].reshape(m, n))
 
 
 def _scan_points(config: OptimizerConfig, dim: int) -> np.ndarray:
@@ -170,50 +179,60 @@ def _scan_points(config: OptimizerConfig, dim: int) -> np.ndarray:
     return np.stack([g.ravel() for g in mesh], axis=1)
 
 
-def _probe_unbounded(f, x_best: float | np.ndarray, w_best: float, config: OptimizerConfig):
-    """Boundary escape test: march outward doubling the step.
+def _h_solver(model: FactorModel, params: CriterionParams, dlt: np.ndarray):
+    """Raise if W has no maximum; else return ``H -> h*(H)``, H of shape (m, n) or (k, m, n).
 
-    If the best scanned value sits on the box boundary and the criterion
-    keeps improving monotonically for six doublings of the excursion, treat
-    the direction as an unbounded ray.
+    h* solves (SS' + (theta/2) G'G) h = a - (theta/2) G'y0 + (SS'H D - A D - Sigma Lambda') w
+    with G = Sigma' + Lambda'B^-T (H'SS' - A'), y0 = -Lambda'B^-T H'a.  The null
+    space N of that Hessian, and the right side's part in N, do not depend on
+    H; adding NN' to the Hessian picks the least-norm maximizer.
     """
-    x_best = np.asarray(x_best, dtype=float)
-    lo, hi = config.grid_bounds
-    span = hi - lo
-    tol = 0.51 * span / max(config.grid_points - 1, 1)
-    on_edge = (np.abs(x_best - lo) < tol) | (np.abs(x_best - hi) < tol)
-    if not on_edge.any():
-        return
-    directions = []
-    outward = np.where(np.abs(x_best - hi) < tol, 1.0, 0.0) - np.where(np.abs(x_best - lo) < tol, 1.0, 0.0)
-    directions.append(outward / np.linalg.norm(outward))
-    norm = np.linalg.norm(x_best)
-    if norm > tol:
-        directions.append(x_best / norm)
-    for e in directions:
-        w_prev = w_best
-        rising = True
-        for k in range(6):
-            w_k = f(x_best + e * span * (2.0 ** k))
-            if not (w_k > w_prev):
-                rising = False
-                break
-            w_prev = w_k
-        if rising and w_prev > w_best + 1e-6 * (1.0 + abs(w_best)):
-            raise UnboundedCriterionError(
-                "criterion improves without bound along direction "
-                f"{np.array2string(e, precision=4)}; no finite optimum to report",
-                direction=e,
-            )
+    a, A, Sg = model.a, model.A, model.Sigma
+    SS = Sg @ Sg.T
+    K = np.linalg.solve(model.B, model.Lambda).T        # Lambda' B^-T
+    w = np.linalg.solve(model.B.T, params.gamma)
+    dw = dlt @ w
+    G0 = Sg.T - K @ A.T
+    r0 = a - A @ dw - Sg @ (model.Lambda.T @ w)
+    half = 0.5 * params.theta
+    lam, V = np.linalg.eigh(SS + half * (G0.T @ G0))    # the h-Hessian at H = 0
+    null = V[:, lam <= _SINGULAR * max(lam[-1], 0.0)]
+    if np.linalg.norm(null.T @ r0) > _NULL_SHARE * np.linalg.norm(r0):
+        _unbounded(np.concatenate([null @ (null.T @ r0), np.zeros(A.size)]),
+                   "W is linear in h along a null direction of its Hessian")
+    if params.theta == 0.0:                              # lam, V are those of SS'
+        if float(w @ dw) > 1.0 and lam[-1] > 0.0:
+            H = np.outer(V[:, -1], w)
+            _unbounded(np.concatenate([H @ dw, H.ravel()]),
+                       f"theta = 0 and w'Dw = {float(w @ dw):.4g} > 1")
+        slope = A @ (dlt - np.outer(dw, dw))
+        if np.linalg.norm(null.T @ slope) > _NULL_SHARE * np.linalg.norm(slope):
+            _unbounded(np.concatenate([np.zeros(A.shape[0]), (null @ (null.T @ slope)).ravel()]),
+                       "theta = 0 and W is linear in H along a riskless asset")
+    fill = SS + null @ null.T
+
+    def h_star(H: np.ndarray) -> np.ndarray:
+        Ht = np.swapaxes(H, -1, -2)
+        G = G0 + K @ Ht @ SS
+        Gt = np.swapaxes(G, -1, -2)
+        r = r0 + (H @ dw) @ SS + half * (Gt @ ((Ht @ a) @ K.T)[..., None])[..., 0]
+        return np.linalg.solve(fill + half * (Gt @ G), r[..., None])[..., 0]
+
+    return h_star
 
 
-def _fd_gradient(f, x: np.ndarray, fx: float) -> float:
-    grad = np.empty_like(x)
-    for i in range(x.size):
-        step = _STATIONARITY_STEP * (1.0 + abs(x[i]))
-        xp = x.copy(); xp[i] += step
-        xm = x.copy(); xm[i] -= step
-        grad[i] = (f(xp) - f(xm)) / (2.0 * step)
+def _unbounded(direction: np.ndarray, reason: str):
+    e = direction / np.linalg.norm(direction)
+    raise UnboundedCriterionError(
+        "criterion improves without bound along direction "
+        f"{np.array2string(e, precision=4)} ({reason}); no finite optimum to report",
+        direction=e,
+    )
+
+
+def _fd_gradient(f, x: np.ndarray) -> float:
+    steps = np.diag(_STATIONARITY_STEP * (1.0 + np.abs(x)))
+    grad = [(f(x + e) - f(x - e)) / (2.0 * e[i]) for i, e in enumerate(steps)]
     return float(np.linalg.norm(grad))
 
 
@@ -222,16 +241,15 @@ def optimize(model: FactorModel, params: CriterionParams,
              warm_starts=()) -> OptimizationResult:
     """Maximize the criterion over (h, H).
 
-    Grid scan, then Nelder-Mead from the best ``local_restarts`` distinct
-    cells (plus any warm starts), then one more refinement pass from the
-    incumbent.  Raises :class:`UnboundedCriterionError` when the best scan
-    value sits on the box edge and keeps improving outward.  Ties within the
-    simplex tolerance go to the smallest-norm point, then lexicographic.
+    Grid scan over H, then Nelder-Mead over H from the best
+    ``local_restarts`` distinct cells (plus the H part of any warm starts),
+    then one more refinement pass from the incumbent; every point takes the
+    maximizing h for its H.  Raises :class:`UnboundedCriterionError` when W
+    has no maximum (see the module docstring).  Ties within the simplex
+    tolerance go to the smallest-norm point, then lexicographic.
     """
-    if config is None:
-        config = OptimizerConfig()
+    config = config or OptimizerConfig()
     m, n = model.m, model.n
-    dim = m + m * n
     if params.theta == 0.0 and not np.any(params.gamma != 0.0):
         warnings.warn(
             "theta = 0 and gamma = 0: the criterion reduces to the growth "
@@ -239,60 +257,55 @@ def optimize(model: FactorModel, params: CriterionParams,
             stacklevel=2,
         )
     dlt = stationary_covariance(model)
-    counter = [0]
-    f = _objective(model, params, dlt, m, n, counter)
+    h_star = _h_solver(model, params, dlt)
+    evaluations = 0
 
-    points = _scan_points(config, dim)
-    values = np.array([f(p) for p in points])
-    if not np.all(np.isfinite(values)):
-        keep = np.isfinite(values)
-        points, values = points[keep], values[keep]
-        if values.size == 0:
-            raise UnboundedCriterionError(
-                "criterion non-finite across the whole scan box", direction=np.zeros(dim)
-            )
-    order = np.argsort(-values, kind="stable")
-    _probe_unbounded(f, points[order[0]], float(values[order[0]]), config)
+    def f(x):
+        nonlocal evaluations
+        evaluations += 1
+        return evaluate(model, _split(x, m, n), params, factor_cov=dlt)
+
+    def full(Hx):
+        return np.concatenate([h_star(Hx.reshape(m, n)), Hx])
+
+    points = _scan_points(config, m * n)
+    scan = np.hstack([h_star(points.reshape(-1, m, n)), points])
+    values = np.array([f(x) for x in scan])
 
     lo, hi = config.grid_bounds
     spacing = (hi - lo) / max(config.grid_points - 1, 1)
-    starts = [np.asarray(w, dtype=float).ravel() for w in warm_starts]
-    for idx in order:
+    starts = [np.asarray(w, dtype=float).ravel()[m:] for w in warm_starts]
+    for idx in np.argsort(-values, kind="stable"):
         cand = points[idx]
         if all(np.linalg.norm(cand - s) > 0.5 * spacing for s in starts):
             starts.append(cand)
         if len(starts) >= config.local_restarts + len(warm_starts):
             break
 
-    def refine(x0):
+    def refine(H0):
         res = scipy.optimize.minimize(
-            lambda x: -f(x), x0, method="Nelder-Mead",
+            lambda Hx: -f(full(Hx)), H0, method="Nelder-Mead",
             options={
                 "xatol": 1e-8, "fatol": config.simplex_tolerance,
                 "maxiter": config.max_iterations, "maxfev": 4 * config.max_iterations,
             },
         )
-        return np.asarray(res.x, dtype=float), float(-res.fun)
+        return full(np.asarray(res.x, dtype=float)), float(-res.fun)
 
     trials = [refine(s) for s in starts]
-    incumbent = max(range(len(trials)), key=lambda i: trials[i][1])
-    trials.append(refine(trials[incumbent][0]))
+    trials.append(refine(max(trials, key=lambda t: t[1])[0][m:]))
 
     best_w = max(w for _, w in trials)
     tol = config.simplex_tolerance * (1.0 + abs(best_w))
     tied = [(x, w) for x, w in trials if w >= best_w - tol]
-    tied.sort(key=lambda t: (np.linalg.norm(t[0]), tuple(t[0])))
-    x_star, w_star = tied[0]
+    x_star, w_star = min(tied, key=lambda t: (np.linalg.norm(t[0]), tuple(t[0])))
 
-    grid_gap = float(values.max() - w_star)
-    _probe_unbounded(f, x_star, w_star, config)
-
-    g_norm = _fd_gradient(f, x_star, w_star)
+    g_norm = _fd_gradient(f, x_star)
     stationary = g_norm <= _STATIONARITY_NORM * (1.0 + abs(w_star))
     message = "converged" if stationary else (
         f"gradient norm {g_norm:.3e} exceeds the stationarity tolerance"
     )
-    if grid_gap > tol:
+    if values.max() - w_star > tol:
         message += "; a scan point beat the refined optimum"
     return OptimizationResult(
         strategy=_split(x_star, m, n),
@@ -300,20 +313,22 @@ def optimize(model: FactorModel, params: CriterionParams,
         stationary=stationary,
         gradient_norm=g_norm,
         restarts=tuple((x, w) for x, w in trials),
-        evaluations=counter[0],
+        evaluations=evaluations,
         message=message,
     )
 
 
-def _sweep(model, param_list, make_params, config):
+def _sweep(model, param_list, make_params, config, name) -> SweepResult:
+    param_list = [float(p) for p in param_list]
+    if len(param_list) == 0:
+        raise ValueError(f"{name} is empty")
     m, n = model.m, model.n
     h_star = np.full((len(param_list), m), np.nan)
     H_star = np.full((len(param_list), m, n), np.nan)
     values = np.full(len(param_list), np.nan)
     stationary = np.zeros(len(param_list), dtype=bool)
     failed = np.zeros(len(param_list), dtype=bool)
-    messages, results = [], []
-    warm = []
+    messages, results, warm = [], [], []
     for i, p in enumerate(param_list):
         try:
             res = optimize(model, make_params(p), config, warm_starts=warm)
@@ -329,7 +344,8 @@ def _sweep(model, param_list, make_params, config):
         messages.append(res.message)
         results.append(res)
         warm = [np.concatenate([res.strategy.h, res.strategy.H.ravel()])]
-    return h_star, H_star, values, stationary, failed, tuple(messages), tuple(results)
+    return SweepResult(np.array(param_list), h_star, H_star, values, stationary, failed,
+                       tuple(messages), tuple(results))
 
 
 def sweep_theta(model: FactorModel, theta_values, gamma=None,
@@ -340,12 +356,9 @@ def sweep_theta(model: FactorModel, theta_values, gamma=None,
     scan.  ``gamma`` is a fixed factor-sensitivity vector (default zero).
     Failed points are flagged and skipped, not fatal.
     """
-    thetas = [float(t) for t in theta_values]
-    if len(thetas) == 0:
-        raise ValueError("theta_values is empty")
     g = np.zeros(model.n) if gamma is None else np.asarray(gamma, dtype=float)
-    out = _sweep(model, thetas, lambda t: CriterionParams(theta=t, gamma=g), config)
-    return SweepResult(np.array(thetas), *out)
+    return _sweep(model, theta_values, lambda t: CriterionParams(theta=t, gamma=g), config,
+                  "theta_values")
 
 
 def sweep_gamma(model: FactorModel, theta: float, gamma_values,
@@ -355,15 +368,8 @@ def sweep_gamma(model: FactorModel, theta: float, gamma_values,
     Each scalar in ``gamma_values`` scales ``direction`` (default: the first
     coordinate axis, which for one factor is just the scalar itself).
     """
-    gammas = [float(g) for g in gamma_values]
-    if len(gammas) == 0:
-        raise ValueError("gamma_values is empty")
-    if direction is None:
-        e = np.zeros(model.n)
-        e[0] = 1.0
-    else:
-        e = np.asarray(direction, dtype=float)
-        if e.shape != (model.n,):
-            raise ValueError(f"direction must have shape ({model.n},), got {e.shape}")
-    out = _sweep(model, gammas, lambda g: CriterionParams(theta=float(theta), gamma=g * e), config)
-    return SweepResult(np.array(gammas), *out)
+    e = np.eye(model.n)[0] if direction is None else np.asarray(direction, dtype=float)
+    if e.shape != (model.n,):
+        raise ValueError(f"direction must have shape ({model.n},), got {e.shape}")
+    return _sweep(model, gamma_values, lambda g: CriterionParams(theta=float(theta), gamma=g * e),
+                  config, "gamma_values")

@@ -1,7 +1,15 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from longrun import FactorModel, Strategy, reference_model
+
+# pytest puts src/ on its own path (pyproject.toml); the console-script test
+# starts a fresh interpreter, which needs it too.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 
 @pytest.fixture

@@ -14,9 +14,11 @@ from longrun import (
     moments,
     optimize,
     reference_model,
+    save_model,
     simulate_discrete,
     write_timeseries_csv,
 )
+from conftest import random_stable_model
 from longrun.cli import main
 
 
@@ -261,3 +263,32 @@ def test_console_script_help():
     assert proc.returncode == 0
     for verb in ("calibrate", "moments", "sweep", "simulate", "optimize"):
         assert verb in proc.stdout
+
+
+def test_optimize_runaway_model_exit_3(tmp_path, capsys):
+    # theta = 0 on a model where w'Dw > 1: no finite optimum exists
+    path = tmp_path / "model.json"
+    save_model(random_stable_model(np.random.default_rng(0), 2, 2), path)
+    rc = main(["optimize", "--model", str(path), "--theta", "0", "--gamma", "0.5"])
+    assert rc == 3
+    assert "without bound" in capsys.readouterr().err
+
+
+def test_calibrate_rejects_threads_exit_1(capsys):
+    assert main(["calibrate", "--from-tables", "--threads", "2"]) == 1
+    assert "--threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["calibrate", "--from-tables", "--seed", "1"],
+    ["calibrate", "--from-tables", "--strict"],
+    ["calibrate", "--from-tables", "--model", "m.json"],
+    ["sweep", "--mode", "H", "--threads", "2"],
+    ["optimize", "--threads", "2"],
+    ["optimize", "--strict"],
+    ["moments", "--strict"],
+    ["simulate", "--strict"],
+])
+def test_unread_flags_rejected_exit_1(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import scalar_strategy
+from conftest import random_stable_model, scalar_strategy
 from longrun import (
     CriterionParams,
     FactorModel,
@@ -13,9 +13,11 @@ from longrun import (
     evaluate,
     moments,
     optimize,
+    stationary_covariance,
     sweep_gamma,
     sweep_theta,
 )
+from longrun.criterion import _h_solver
 
 QUICK = OptimizerConfig(grid_points=31, local_restarts=3)
 
@@ -207,3 +209,107 @@ def test_empty_sweep_rejected(model):
         sweep_theta(model, [])
     with pytest.raises(ValueError):
         sweep_gamma(model, 1.0, [])
+
+
+def _runaway_model(seed):
+    return random_stable_model(np.random.default_rng(seed), 2, 2)
+
+
+def _w_dlt_w(model, gamma):
+    w = np.linalg.solve(model.B.T, gamma)
+    return float(w @ stationary_covariance(model) @ w)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3])
+def test_theta_zero_runaway_raises(seed):
+    # w'Dw > 1: the growth reward along H = u w' outpaces the tilt cost
+    model = _runaway_model(seed)
+    gamma = 0.5 * np.ones(2)
+    assert _w_dlt_w(model, gamma) > 1.0
+    with pytest.raises(UnboundedCriterionError, match="without bound") as exc:
+        optimize(model, CriterionParams(theta=0.0, gamma=gamma), QUICK)
+    e = exc.value.direction
+    assert e.shape == (6,)
+    assert_allclose(np.linalg.norm(e), 1.0, rtol=1e-12)
+    # W rises along the reported ray
+    far = [evaluate(model, Strategy(h=t * e[:2], H=t * e[2:].reshape(2, 2)),
+                    CriterionParams(theta=0.0, gamma=gamma)) for t in (10.0, 100.0, 1000.0)]
+    assert far[0] < far[1] < far[2]
+
+
+def test_theta_zero_bounded_seed_is_stationary():
+    model = _runaway_model(2)
+    gamma = 0.5 * np.ones(2)
+    assert _w_dlt_w(model, gamma) < 1.0
+    res = optimize(model, CriterionParams(theta=0.0, gamma=gamma), QUICK)
+    assert np.all(np.isfinite(res.strategy.h)) and np.all(np.isfinite(res.strategy.H))
+    assert np.linalg.norm(res.strategy.H) < 100.0
+    assert res.stationary
+
+
+def _degenerate_toy():
+    # the asset carries no diffusion, so the h-Hessian is singular at theta = 0
+    return FactorModel(
+        a=np.array([0.01]), A=np.array([[-0.01]]), B=np.array([[-0.05]]),
+        Sigma=np.array([[0.0, 0.0]]), Lambda=np.array([[0.0, 0.5]]),
+    )
+
+
+def test_degenerate_sigma_theta_zero_raises():
+    with pytest.warns(UserWarning, match="theta = 0"):
+        with pytest.raises(UnboundedCriterionError, match="without bound"):
+            optimize(_degenerate_toy(), params(), QUICK)
+
+
+def test_degenerate_sigma_theta_one_optimum():
+    res = optimize(_degenerate_toy(), params(theta=1.0), QUICK)
+    assert_allclose(res.strategy.h[0], 0.8, atol=1e-6)
+    assert_allclose(res.strategy.H[0, 0], -1.2, atol=1e-6)
+    assert_allclose(res.value, 0.019, rtol=1e-9)
+    assert res.stationary
+
+
+def test_degenerate_sigma_linear_in_h_raises():
+    # a riskless asset whose drift ignores the factor: W is linear in its
+    # holding at any theta
+    toy = FactorModel(
+        a=np.array([0.01]), A=np.array([[0.0]]), B=np.array([[-0.05]]),
+        Sigma=np.array([[0.0, 0.0]]), Lambda=np.array([[0.0, 0.5]]),
+    )
+    with pytest.raises(UnboundedCriterionError, match="linear in h") as exc:
+        optimize(toy, params(theta=1.0), QUICK)
+    assert_allclose(exc.value.direction, [1.0, 0.0])
+
+
+def test_degenerate_sigma_theta_zero_linear_in_H_raises():
+    # a riskless asset with factor-dependent drift and no constant drift: at
+    # theta = 0 the tilt H earns tr(D H'A) with nothing to pay for it
+    toy = FactorModel(
+        a=np.array([0.0]), A=np.array([[-0.01]]), B=np.array([[-0.05]]),
+        Sigma=np.array([[0.0, 0.0]]), Lambda=np.array([[0.0, 0.5]]),
+    )
+    with pytest.warns(UserWarning, match="theta = 0"):
+        with pytest.raises(UnboundedCriterionError, match="linear in H") as exc:
+            optimize(toy, params(), QUICK)
+    e = exc.value.direction
+    far = [evaluate(toy, scalar_strategy(t * e[0], t * e[1]), params()) for t in (1.0, 10.0, 100.0)]
+    assert far[0] < far[1] < far[2]
+    res = optimize(toy, params(theta=1.0), QUICK)
+    assert res.stationary and np.isfinite(res.value)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_h_solver_maximizes_over_h(seed):
+    # the closed-form h*(H) is the maximizer of W over h, batched or one at a time
+    rng = np.random.default_rng(seed)
+    m, n = (1, 1) if seed == 0 else (2, 2)
+    model = random_stable_model(rng, m, n)
+    prm = CriterionParams(theta=float(rng.uniform(0.2, 3.0)), gamma=rng.normal(scale=0.1, size=n))
+    h_star = _h_solver(model, prm, stationary_covariance(model))
+    Hs = rng.uniform(-2.0, 2.0, size=(5, m, n))
+    batch = h_star(Hs)
+    for H, h in zip(Hs, batch):
+        assert_allclose(h_star(H), h, rtol=1e-12, atol=1e-14)
+        best = evaluate(model, Strategy(h=h, H=H), prm)
+        for dh in rng.normal(scale=0.05, size=(10, m)):
+            assert evaluate(model, Strategy(h=h + dh, H=H), prm) < best
