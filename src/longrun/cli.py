@@ -299,14 +299,10 @@ def cmd_sweep(args) -> int:
             )
         grid = _parse_grid(args.range or "-3:3:121", args.log, "--range")
         h = _parse_vector(args.h, 1, "--h")
-        rows = ["H,K,P,varRate"]
-        table = []
-        for v in grid:
-            mom = moments(model, Strategy(h=h, H=np.array([[v]])))
-            table.append((v, mom.growth_rate, float(mom.wealth_factor_cov[0]), mom.variance_rate))
-            rows.append(",".join(_fmt(x) for x in table[-1]))
+        mom = moments(model, (np.tile(h, (len(grid), 1)), grid.reshape(-1, 1, 1)))
+        svg_series = (mom.growth_rate, mom.wealth_factor_cov[:, 0], mom.variance_rate)
+        rows = ["H,K,P,varRate"] + [",".join(_fmt(x) for x in t) for t in zip(grid, *svg_series)]
         csv_text = "\n".join(rows) + "\n"
-        svg_series = ([t[1] for t in table], [t[2] for t in table], [t[3] for t in table])
         svg_text = line_plot(grid, svg_series,
                              labels=("K", "P", "varRate"), title="moments vs H",
                              xlabel="H", ylabel="value")

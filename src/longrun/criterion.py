@@ -9,6 +9,11 @@ with the theta coefficient exactly theta/4.  W is quartic and nonconvex in
 offset of the variance rate depends on H only, and the shock loading
 Y = G h + y0 is affine in h.  So the optimizer scans the m*n entries of H
 alone, refines the best cells by Nelder-Mead, and solves for h at each point.
+The whole scan (grid_points^(m n) points when m n <= 2, else 4,096)
+is h-solved and scored in one call of the batched moment engine
+(:mod:`longrun.moments`); each Nelder-Mead step scores one point, and the
+stationarity test scores its 2 (m + m n) finite-difference points in one
+call.
 
 Unboundedness is decided exactly.  With SS' = Sigma Sigma', D the
 stationary factor covariance and w = B^-T gamma:
@@ -36,8 +41,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 
+from .linalg import DimensionError
 from .model import CriterionParams, FactorModel, Strategy
-from .moments import covariance_limit, growth_rate, stationary_covariance, variance_rate
+from .moments import moments
 
 __all__ = [
     "OptimizerConfig",
@@ -105,7 +111,10 @@ class OptimizationResult:
 
     ``stationary`` reports the central finite-difference gradient test; a
     False value flags the point rather than raising.  ``restarts`` holds the
-    (point, value) pair of every local refinement, merged by start index.
+    (point, value) pair of every local refinement, in start order, followed
+    by the refinement from the incumbent when that one ran.  ``evaluations``
+    counts every strategy scored: scan points, Nelder-Mead steps and the
+    stationarity test.
     """
 
     strategy: Strategy
@@ -143,19 +152,26 @@ class SweepResult:
             return np.where(h != 0.0, self.H_star[:, 0, 0] / h, np.nan)
 
 
-def evaluate(model: FactorModel, strategy: Strategy, params: CriterionParams,
-             factor_cov=None) -> float:
-    """Criterion value W for one strategy.
+def evaluate(model: FactorModel, strategy, params: CriterionParams, factor_cov=None):
+    """Criterion value W for a Strategy (a float), or for a stack ``(h, H)`` (shape (k,)).
 
-    ``factor_cov`` may carry a precomputed stationary factor covariance to
-    amortize the Lyapunov solve across many evaluations.
+    A stack has ``h`` of shape (k, m) and ``H`` of shape (k, m, n), as in
+    :func:`~longrun.moments.moments`.  ``factor_cov`` is accepted for
+    compatibility and not used: the model keeps its stationary covariance.
+    Raises :class:`~longrun.linalg.DimensionError` when ``gamma`` or the
+    strategy does not fit the model.
     """
-    dlt = stationary_covariance(model) if factor_cov is None else factor_cov
-    rate, _, _ = variance_rate(model, strategy, factor_cov=dlt)
-    w = growth_rate(model, strategy, factor_cov=dlt) - 0.25 * params.theta * rate
-    if np.any(params.gamma != 0.0):
-        w += float(params.gamma @ covariance_limit(model, strategy, factor_cov=dlt))
-    return w
+    _check_gamma(model, params)
+    mom = moments(model, strategy)
+    w = mom.growth_rate - 0.25 * params.theta * mom.variance_rate + mom.wealth_factor_cov @ params.gamma
+    return w if np.ndim(w) else float(w)
+
+
+def _check_gamma(model: FactorModel, params: CriterionParams) -> None:
+    if params.gamma.shape != (model.n,):
+        raise DimensionError(
+            f"gamma must have length n={model.n}, got {params.gamma.shape[0]}"
+        )
 
 
 def _split(x: np.ndarray, m: int, n: int) -> Strategy:
@@ -187,8 +203,9 @@ def _h_solver(model: FactorModel, params: CriterionParams, dlt: np.ndarray):
     space N of that Hessian, and the right side's part in N, do not depend on
     H; adding NN' to the Hessian picks the least-norm maximizer.
     """
+    _check_gamma(model, params)
     a, A, Sg = model.a, model.A, model.Sigma
-    SS = Sg @ Sg.T
+    SS = model.prepared.SS
     K = np.linalg.solve(model.B, model.Lambda).T        # Lambda' B^-T
     w = np.linalg.solve(model.B.T, params.gamma)
     dw = dlt @ w
@@ -230,10 +247,12 @@ def _unbounded(direction: np.ndarray, reason: str):
     )
 
 
-def _fd_gradient(f, x: np.ndarray) -> float:
-    steps = np.diag(_STATIONARITY_STEP * (1.0 + np.abs(x)))
-    grad = [(f(x + e) - f(x - e)) / (2.0 * e[i]) for i, e in enumerate(steps)]
-    return float(np.linalg.norm(grad))
+def _fd_gradient(score, x: np.ndarray) -> float:
+    """Norm of the central-difference gradient; ``score`` maps a (k, dim) stack to (k,) values."""
+    steps = _STATIONARITY_STEP * (1.0 + np.abs(x))
+    E = np.diag(steps)
+    f = score(np.vstack([x + E, x - E]))
+    return float(np.linalg.norm((f[:len(x)] - f[len(x):]) / (2.0 * steps)))
 
 
 def optimize(model: FactorModel, params: CriterionParams,
@@ -243,34 +262,36 @@ def optimize(model: FactorModel, params: CriterionParams,
 
     Grid scan over H, then Nelder-Mead over H from the best
     ``local_restarts`` distinct cells (plus the H part of any warm starts),
-    then one more refinement pass from the incumbent; every point takes the
-    maximizing h for its H.  Raises :class:`UnboundedCriterionError` when W
-    has no maximum (see the module docstring).  Ties within the simplex
+    then one more refinement pass from the incumbent if its run stopped at
+    the iteration or evaluation cap; every point takes the maximizing h for
+    its H.  Raises :class:`UnboundedCriterionError` when W has no maximum
+    (see the module docstring), and :class:`~longrun.linalg.DimensionError`
+    when ``gamma`` does not have length n.  Ties within the simplex
     tolerance go to the smallest-norm point, then lexicographic.
     """
     config = config or OptimizerConfig()
     m, n = model.m, model.n
+    _check_gamma(model, params)
     if params.theta == 0.0 and not np.any(params.gamma != 0.0):
         warnings.warn(
             "theta = 0 and gamma = 0: the criterion reduces to the growth "
             "rate alone; the optimum ignores risk entirely",
             stacklevel=2,
         )
-    dlt = stationary_covariance(model)
-    h_star = _h_solver(model, params, dlt)
+    h_star = _h_solver(model, params, model.prepared.D)
     evaluations = 0
 
-    def f(x):
+    def score(X):
+        """W at each row (h, vec H) of X."""
         nonlocal evaluations
-        evaluations += 1
-        return evaluate(model, _split(x, m, n), params, factor_cov=dlt)
+        evaluations += len(X)
+        return evaluate(model, (X[:, :m], X[:, m:].reshape(-1, m, n)), params)
 
     def full(Hx):
         return np.concatenate([h_star(Hx.reshape(m, n)), Hx])
 
     points = _scan_points(config, m * n)
-    scan = np.hstack([h_star(points.reshape(-1, m, n)), points])
-    values = np.array([f(x) for x in scan])
+    values = score(np.hstack([h_star(points.reshape(-1, m, n)), points]))
 
     lo, hi = config.grid_bounds
     spacing = (hi - lo) / max(config.grid_points - 1, 1)
@@ -284,23 +305,26 @@ def optimize(model: FactorModel, params: CriterionParams,
 
     def refine(H0):
         res = scipy.optimize.minimize(
-            lambda Hx: -f(full(Hx)), H0, method="Nelder-Mead",
+            lambda Hx: -score(full(Hx)[None])[0], H0, method="Nelder-Mead",
             options={
                 "xatol": 1e-8, "fatol": config.simplex_tolerance,
                 "maxiter": config.max_iterations, "maxfev": 4 * config.max_iterations,
             },
         )
-        return full(np.asarray(res.x, dtype=float)), float(-res.fun)
+        return full(np.asarray(res.x, dtype=float)), float(-res.fun), res.success
 
-    trials = [refine(s) for s in starts]
-    trials.append(refine(max(trials, key=lambda t: t[1])[0][m:]))
+    runs = [refine(s) for s in starts]
+    incumbent = max(runs, key=lambda t: t[1])
+    if not incumbent[2]:           # stopped at maxiter or maxfev: resume from it
+        runs.append(refine(incumbent[0][m:]))
+    trials = [(x, w) for x, w, _ in runs]
 
     best_w = max(w for _, w in trials)
     tol = config.simplex_tolerance * (1.0 + abs(best_w))
     tied = [(x, w) for x, w in trials if w >= best_w - tol]
     x_star, w_star = min(tied, key=lambda t: (np.linalg.norm(t[0]), tuple(t[0])))
 
-    g_norm = _fd_gradient(f, x_star)
+    g_norm = _fd_gradient(score, x_star)
     stationary = g_norm <= _STATIONARITY_NORM * (1.0 + abs(w_star))
     message = "converged" if stationary else (
         f"gradient norm {g_norm:.3e} exceeds the stationarity tolerance"

@@ -154,17 +154,55 @@ def solve_lyapunov(B, Q, rtol: float = LYAPUNOV_RTOL) -> np.ndarray:
             S = scipy.linalg.solve_continuous_lyapunov(B, Q)
         except (ValueError, np.linalg.LinAlgError) as exc:
             raise NumericError(f"Lyapunov solve failed: {exc}") from exc
-
-    scale = np.linalg.norm(B) * np.linalg.norm(S) + np.linalg.norm(Q)
-    residual = np.linalg.norm(B @ S + S @ B.T - Q)
-    if not np.isfinite(residual) or residual > rtol * max(scale, 1e-300):
-        raise NumericError(
-            f"Lyapunov residual {residual:.3e} exceeds {rtol:.1e} * {scale:.3e}"
-        )
+    check_lyapunov_residual(B, S, Q, rtol)
 
     qnorm = np.linalg.norm(Q)
     if np.linalg.norm(Q - Q.T) <= 1e-12 * max(qnorm, 1.0):
         S = 0.5 * (S + S.T)
+    return S
+
+
+def check_lyapunov_residual(B: np.ndarray, S: np.ndarray, Q: np.ndarray, rtol: float) -> None:
+    """Raise NumericError unless ``B S + S B' = Q`` to ``rtol * (||B|| ||S|| + ||Q||)``.
+
+    ``S`` and ``Q`` may be stacks of shape (k, n, n); every slice is checked
+    against its own scale.
+    """
+    scale = np.atleast_1d(np.linalg.norm(B) * np.linalg.norm(S, axis=(-2, -1))
+                          + np.linalg.norm(Q, axis=(-2, -1)))
+    residual = np.atleast_1d(np.linalg.norm(B @ S + S @ B.T - Q, axis=(-2, -1)))
+    bad = ~(np.isfinite(residual) & (residual <= rtol * np.maximum(scale, 1e-300)))
+    if np.any(bad):
+        i = np.flatnonzero(bad)[0]
+        raise NumericError(
+            f"Lyapunov residual {residual[i]:.3e} exceeds {rtol:.1e} * {scale[i]:.3e}"
+        )
+
+
+def lyapunov_operator(B: np.ndarray):
+    """LU factors of ``I (x) B + B (x) I``, the n^2 x n^2 matrix of ``S -> B S + S B'``.
+
+    Row-major ``vec`` maps ``B S`` to ``(B (x) I) vec(S)`` and ``S B'`` to
+    ``(I (x) B) vec(S)``.  The matrix is nonsingular when B is stable (its
+    eigenvalues are the pairwise sums of B's).
+    """
+    eye = np.eye(B.shape[0])
+    return scipy.linalg.lu_factor(np.kron(eye, B) + np.kron(B, eye), check_finite=False)
+
+
+def solve_lyapunov_stack(B: np.ndarray, lu, Q: np.ndarray) -> np.ndarray:
+    """Solve ``B S_i + S_i B' = Q_i`` for a stack Q of shape (k, n, n) in one solve.
+
+    ``lu`` is :func:`lyapunov_operator` of the stable ``B``.  Every
+    slice passes the residual check of :func:`solve_lyapunov` at
+    ``LYAPUNOV_RTOL``; the result is not symmetrized.
+    """
+    k, n = Q.shape[0], B.shape[0]
+    x, info = scipy.linalg.lapack.dgetrs(*lu, Q.reshape(k, n * n).T)
+    if info != 0:  # pragma: no cover - only for malformed arguments
+        raise NumericError(f"Lyapunov solve failed: getrs info {info}")
+    S = x.T.reshape(k, n, n)
+    check_lyapunov_residual(B, S, Q, LYAPUNOV_RTOL)
     return S
 
 

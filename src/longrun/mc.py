@@ -35,7 +35,6 @@ from scipy.signal import lfilter
 from .calibration import TimeSeriesData
 from .linalg import NumericError, psd_sqrt
 from .model import FactorModel, Strategy
-from .moments import stationary_covariance
 
 __all__ = [
     "SimConfig",
@@ -164,7 +163,7 @@ def _transition(model: FactorModel, dt: float, scheme: str, need_stationary: boo
     n = model.n
     pre = {"scheme": scheme}
     if scheme == "exact" or need_stationary:
-        dlt = stationary_covariance(model)
+        dlt = model.prepared.D
         pre["x0_sqrt"] = psd_sqrt(dlt)
     if scheme == "exact":
         phi = scipy.linalg.expm(B * dt)

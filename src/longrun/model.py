@@ -11,18 +11,21 @@ holds the fraction ``h + H x`` of wealth in the risky assets, and ``u``
 denotes the change in log wealth.
 
 All containers are frozen dataclasses holding read-only numpy arrays; they
-can be shared freely across threads.
+can be shared freely across threads.  A model computes its strategy-independent
+terms (:class:`PreparedModel`) on first use and keeps them; since the model
+cannot change, they never go stale.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .linalg import check_stability
+from .linalg import check_stability, lyapunov_operator, solve_lyapunov_stack
 
 __all__ = [
     "FactorModel",
@@ -146,6 +149,51 @@ class FactorModel:
     def n(self) -> int:
         """Number of factors."""
         return self.B.shape[0]
+
+    @cached_property
+    def prepared(self) -> PreparedModel:
+        """The strategy-independent terms, built on first use and kept on this model."""
+        B, Sg, Lm = self.B, self.Sigma, self.Lambda
+        lu = lyapunov_operator(B)
+        for arr in lu:
+            arr.flags.writeable = False
+        D = solve_lyapunov_stack(B, lu, -(Lm @ Lm.T)[None])[0]
+        return PreparedModel(
+            D=_freeze(0.5 * (D + D.T)),
+            SS=_freeze(Sg @ Sg.T),
+            LS=_freeze(Lm @ Sg.T),
+            B_inv=_freeze(np.linalg.inv(B)),
+            lyapunov=lu,
+        )
+
+
+@dataclass(frozen=True)
+class PreparedModel:
+    """What every moment evaluation of one model shares, as read-only arrays.
+
+    Built once per :class:`FactorModel` (see ``FactorModel.prepared``); the
+    stability of ``B`` was checked when the model was constructed.
+
+    Attributes
+    ----------
+    D : ndarray, shape (n, n)
+        Stationary factor covariance, solving ``B D + D B' + Lambda Lambda' = 0``.
+    SS : ndarray, shape (m, m)
+        Return diffusion covariance ``Sigma Sigma'``.
+    LS : ndarray, shape (n, m)
+        ``Lambda Sigma'``.
+    B_inv : ndarray, shape (n, n)
+        Inverse of ``B`` (B is stable, hence invertible).
+    lyapunov : tuple
+        LU factors of the n^2 x n^2 Lyapunov operator ``I (x) B + B (x) I``
+        (:func:`longrun.linalg.lyapunov_operator`).
+    """
+
+    D: np.ndarray
+    SS: np.ndarray
+    LS: np.ndarray
+    B_inv: np.ndarray
+    lyapunov: tuple
 
 
 def validate_model(a, A, B, Sigma, Lambda) -> FactorModel:

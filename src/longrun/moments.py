@@ -10,10 +10,19 @@ x(t) satisfy, as t grows:
     E[u(t) x x']   ~  second_moment_slope * t + second_moment_offset
 
 with every coefficient in closed form in terms of the stationary factor
-covariance.  Two independent code paths compute them:
+covariance D.  Two independent code paths compute them:
 
-* :func:`moments`: the matrix engine, valid for any (m, n).  It uses dense
-  linear solves and two Lyapunov equations.
+* :func:`moments`: the matrix engine, valid for any (m, n).  Everything that
+  depends only on the model (D from one Lyapunov solve, Sigma Sigma',
+  Lambda Sigma', B^-1 and the LU factors of the n^2 x n^2 Lyapunov
+  operator) is computed once per model and kept on it
+  (``FactorModel.prepared``).  A strategy then costs a few small matrix
+  products and one more Lyapunov equation for the offset S, and a stack of
+  k strategies, ``h`` of shape (k, m) and ``H`` of shape (k, m, n), is
+  evaluated at once: its k offsets are one multi-right-hand-side solve with
+  the factored operator, each passing the residual check of
+  :func:`~longrun.linalg.solve_lyapunov`.  :func:`growth_rate`,
+  :func:`variance_rate` and :func:`covariance_limit` are views of it.
 * :func:`scalar_moments`: explicit scalar algebra for the one-asset,
   one-factor case with the diffusion convention Sigma = (sig, eta),
   Lambda = (0, lam).  It shares no linear-algebra code with the matrix
@@ -30,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import solve_lyapunov, solve_lyapunov_const
-from .model import FactorModel, Strategy
+from .linalg import DimensionError, solve_lyapunov_stack
+from .model import FactorModel, ModelValidationError, Strategy
 
 __all__ = [
     "AsymptoticMoments",
@@ -47,6 +56,9 @@ __all__ = [
 @dataclass(frozen=True)
 class AsymptoticMoments:
     """Closed-form long-run moments for one (model, strategy) pair.
+
+    For a stack of k strategies every attribute but the strategy-independent
+    ``factor_cov`` gains a leading axis of length k.
 
     Attributes
     ----------
@@ -78,78 +90,113 @@ class AsymptoticMoments:
 
 
 def stationary_covariance(model: FactorModel) -> np.ndarray:
-    """Stationary covariance of the factor process (symmetric PSD)."""
-    return solve_lyapunov_const(model.B, model.Lambda @ model.Lambda.T)
+    """Stationary covariance of the factor process (symmetric PSD, read-only)."""
+    return model.prepared.D
 
 
-def growth_rate(model: FactorModel, strategy: Strategy, factor_cov=None) -> float:
-    """Expected log growth of wealth per unit time.
+def _stack(model: FactorModel, strategy):
+    """``(h, H)`` of shapes (k, m), (k, m, n) from a Strategy (k = 1) or a stack pair."""
+    m, n = model.m, model.n
+    if isinstance(strategy, Strategy):
+        h, H = strategy.h, strategy.H
+        if h.shape != (m,) or H.shape != (m, n):
+            raise DimensionError(
+                f"strategy has h of shape {h.shape} and H of shape {H.shape}; "
+                f"the model needs ({m},) and ({m}, {n})"
+            )
+        return h[None], H[None]
+    h, H = (np.asarray(v, dtype=float) for v in strategy)
+    if h.ndim != 2 or h.shape[1] != m:
+        raise DimensionError(f"h must have shape (k, m={m}), got {h.shape}")
+    if H.shape != (h.shape[0], m, n):
+        raise DimensionError(f"H must have shape (k={h.shape[0]}, m={m}, n={n}), got {H.shape}")
+    if not (np.all(np.isfinite(h)) and np.all(np.isfinite(H))):
+        raise ModelValidationError(["strategy contains non-finite entries"])
+    return h, H
+
+
+def _engine(model: FactorModel, h: np.ndarray, H: np.ndarray) -> AsymptoticMoments:
+    """All long-run moments of the strategy stack ``h`` (k, m), ``H`` (k, m, n)."""
+    pm = model.prepared
+    a, A, B = model.a, model.A, model.B
+    D, SS = pm.D, pm.SS
+    Ht = np.swapaxes(H, -1, -2)
+    SSh = h @ SS                                     # (k, m); SS is symmetric
+    HtSSH = Ht @ (SS @ H)                            # (k, n, n)
+    M = 2.0 * (Ht @ A) - HtSSH                       # twice the factor tilt of the growth rate
+
+    # tr(D X) = sum(D * X) for symmetric D, and likewise for S below
+    K = h @ a - 0.5 * np.sum(h * SSh, axis=-1) + 0.5 * np.sum(D * M, axis=(-2, -1))
+
+    # long-run shock loading of u: direct diffusion plus the factor feedback
+    row = (SSh[:, None, :] @ H)[:, 0] - h @ A - a @ H      # (k, n) = H'SS'h - A'h - H'a
+    P = (row @ D - h @ pm.LS.T) @ pm.B_inv.T               # B^-1 (D row - Lambda Sigma' h)
+    Y = (row @ pm.B_inv) @ model.Lambda + h @ model.Sigma  # (k, m+n)
+
+    # The offset S solves a Lyapunov equation whose right-hand side is
+    # symmetrized first: a no-op for n = 1, and for n > 1 what makes S the
+    # genuine (symmetric) constant term of E[u x x'], as the Monte Carlo
+    # oracle confirms.
+    Q = -(D @ M @ D) - 2.0 * (pm.LS @ H) @ D
+    S = solve_lyapunov_stack(B, pm.lyapunov, 0.5 * (Q + np.swapaxes(Q, -1, -2)))
+    S = 0.5 * (S + np.swapaxes(S, -1, -2))
+
+    rate = np.sum(Y * Y, axis=-1) + np.sum(S * M + D * HtSSH, axis=(-2, -1))
+    return AsymptoticMoments(
+        growth_rate=K,
+        variance_rate=rate,
+        wealth_factor_cov=P,
+        factor_cov=D,
+        shock_loading=Y,
+        second_moment_offset=S,
+        second_moment_slope=K[:, None, None] * D,
+    )
+
+
+def moments(model: FactorModel, strategy) -> AsymptoticMoments:
+    """All long-run moments via the matrix engine (any m, n).
+
+    ``strategy`` is a :class:`~longrun.model.Strategy`, or a stack ``(h, H)``
+    of k strategies with shapes (k, m) and (k, m, n), whose attributes then
+    carry a leading axis of length k.  Raises
+    :class:`~longrun.linalg.DimensionError` when the shapes do not fit the
+    model.
+    """
+    mom = _engine(model, *_stack(model, strategy))
+    if not isinstance(strategy, Strategy):
+        return mom
+    return AsymptoticMoments(
+        growth_rate=float(mom.growth_rate[0]),
+        variance_rate=float(mom.variance_rate[0]),
+        wealth_factor_cov=mom.wealth_factor_cov[0],
+        factor_cov=mom.factor_cov,
+        shock_loading=mom.shock_loading[0],
+        second_moment_offset=mom.second_moment_offset[0],
+        second_moment_slope=mom.second_moment_slope[0],
+    )
+
+
+def growth_rate(model: FactorModel, strategy):
+    """Expected log growth of wealth per unit time (a view of :func:`moments`).
 
     Equals h'a - h'SS'h/2 plus the trace correction from the factor tilt,
     where SS' is the return diffusion covariance.
     """
-    dlt = stationary_covariance(model) if factor_cov is None else factor_cov
-    h, H = strategy.h, strategy.H
-    SS = model.Sigma @ model.Sigma.T
-    tilt = H.T @ model.A - 0.5 * (H.T @ SS @ H)
-    return float(h @ model.a - 0.5 * (h @ SS @ h) + np.trace(dlt @ tilt))
+    return moments(model, strategy).growth_rate
 
 
-def covariance_limit(model: FactorModel, strategy: Strategy, factor_cov=None) -> np.ndarray:
-    """Long-run covariance of log wealth with the factors, shape (n,).
+def covariance_limit(model: FactorModel, strategy) -> np.ndarray:
+    """Long-run covariance of log wealth with the factors, shape (n,); a view of :func:`moments`."""
+    return moments(model, strategy).wealth_factor_cov
 
-    Solves the linear system B p = rhs by LU factorization (B is stable,
-    hence invertible); no explicit inverse is formed.
+
+def variance_rate(model: FactorModel, strategy):
+    """Variance of log wealth per unit time, with its ingredients (a view of :func:`moments`).
+
+    Returns ``(rate, shock_loading, second_moment_offset)``.
     """
-    dlt = stationary_covariance(model) if factor_cov is None else factor_cov
-    h, H = strategy.h, strategy.H
-    Sg, Lm = model.Sigma, model.Lambda
-    SS = Sg @ Sg.T
-    rhs = dlt @ (H.T @ (SS @ h) - model.A.T @ h - H.T @ model.a) - Lm @ (Sg.T @ h)
-    return np.linalg.solve(model.B, rhs)
-
-
-def variance_rate(model: FactorModel, strategy: Strategy, factor_cov=None):
-    """Variance of log wealth per unit time, with its ingredients.
-
-    Returns ``(rate, shock_loading, second_moment_offset)``.  The offset
-    solves a Lyapunov equation whose right-hand side is symmetrized before
-    the solve; for n = 1 the symmetrization is a no-op, and for n > 1 it is
-    what makes the offset the genuine (symmetric) constant term of
-    E[u x x']; the Monte Carlo oracle pins this down.
-    """
-    dlt = stationary_covariance(model) if factor_cov is None else factor_cov
-    h, H = strategy.h, strategy.H
-    a, A, B, Sg, Lm = model.a, model.A, model.B, model.Sigma, model.Lambda
-    SS = Sg @ Sg.T
-
-    # long-run shock loading of u: direct diffusion plus the factor feedback
-    row = (SS @ h) @ H - h @ A - a @ H              # (n,)
-    Y = np.linalg.solve(B.T, row) @ Lm + h @ Sg     # (m+n,)
-
-    HtA = H.T @ A                                    # (n, n)
-    HtSSH = H.T @ SS @ H                             # (n, n)
-    Q = -2.0 * (dlt @ HtA @ dlt) + dlt @ HtSSH @ dlt - 2.0 * (Lm @ Sg.T) @ H @ dlt
-    S = solve_lyapunov(B, 0.5 * (Q + Q.T))
-
-    rate = float(Y @ Y + np.trace(2.0 * (S @ HtA) + (dlt - S) @ HtSSH))
-    return rate, Y, S
-
-
-def moments(model: FactorModel, strategy: Strategy) -> AsymptoticMoments:
-    """All long-run moments via the matrix engine (any m, n)."""
-    dlt = stationary_covariance(model)
-    rate, Y, S = variance_rate(model, strategy, factor_cov=dlt)
-    K = growth_rate(model, strategy, factor_cov=dlt)
-    return AsymptoticMoments(
-        growth_rate=K,
-        variance_rate=rate,
-        wealth_factor_cov=covariance_limit(model, strategy, factor_cov=dlt),
-        factor_cov=dlt,
-        shock_loading=Y,
-        second_moment_offset=S,
-        second_moment_slope=K * dlt,
-    )
+    mom = moments(model, strategy)
+    return mom.variance_rate, mom.shock_loading, mom.second_moment_offset
 
 
 def scalar_moments(model: FactorModel, strategy: Strategy) -> AsymptoticMoments:

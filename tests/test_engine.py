@@ -1,0 +1,207 @@
+"""The batched moment engine against a one-strategy-at-a-time reference.
+
+The reference below is the per-strategy matrix algebra with scipy's
+Bartels-Stewart Lyapunov solver, written out here so that it shares no code
+with the engine (which uses a factored Kronecker operator and stacked
+products).
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+import scipy.linalg
+from numpy.testing import assert_allclose
+
+import longrun.criterion as criterion
+import longrun.linalg as linalg
+from conftest import random_stable_model, scalar_strategy
+from longrun import (
+    CriterionParams,
+    DimensionError,
+    NumericError,
+    OptimizerConfig,
+    Strategy,
+    evaluate,
+    moments,
+    optimize,
+    reference_model,
+    stationary_covariance,
+)
+from longrun.criterion import _h_solver
+
+RTOL = 1e-12
+
+
+def reference(model, h, H, theta, gamma):
+    """(K, rate, P, Y, S, W) for one strategy, the textbook way."""
+    a, A, B, Sg, Lm = model.a, model.A, model.B, model.Sigma, model.Lambda
+    D = scipy.linalg.solve_continuous_lyapunov(B, -Lm @ Lm.T)
+    SS = Sg @ Sg.T
+    K = h @ a - 0.5 * (h @ SS @ h) + np.trace(D @ (H.T @ A - 0.5 * (H.T @ SS @ H)))
+    P = np.linalg.solve(B, D @ (H.T @ (SS @ h) - A.T @ h - H.T @ a) - Lm @ (Sg.T @ h))
+    row = (SS @ h) @ H - h @ A - a @ H
+    Y = np.linalg.solve(B.T, row) @ Lm + h @ Sg
+    HtA, HtSSH = H.T @ A, H.T @ SS @ H
+    Q = -2.0 * (D @ HtA @ D) + D @ HtSSH @ D - 2.0 * (Lm @ Sg.T) @ H @ D
+    S = scipy.linalg.solve_continuous_lyapunov(B, 0.5 * (Q + Q.T))
+    rate = Y @ Y + np.trace(2.0 * (S @ HtA) + (D - S) @ HtSSH)
+    return K, rate, P, Y, S, K - 0.25 * theta * rate + gamma @ P
+
+
+def degenerate_model():
+    # second asset = half the first: Sigma Sigma' is singular (FactorModel allows it)
+    rng = np.random.default_rng(4)
+    base = random_stable_model(rng, 2, 2)
+    Sigma = base.Sigma.copy()
+    Sigma[1] = 0.5 * Sigma[0]
+    return dataclasses.replace(base, Sigma=Sigma)
+
+
+def cases():
+    rng = np.random.default_rng(2024)
+    out = []
+    for m in (1, 2, 3):
+        for n in (1, 2, 3):
+            out.append(random_stable_model(rng, m, n))
+    out.append(degenerate_model())
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 5])
+@pytest.mark.parametrize("theta", [0.0, 1.0, 4.0])
+def test_engine_matches_loop_reference(k, theta):
+    rng = np.random.default_rng(int(10 * theta) + k)
+    for model in cases():
+        m, n = model.m, model.n
+        h = rng.uniform(-2.0, 2.0, (k, m))
+        H = rng.uniform(-2.0, 2.0, (k, m, n))
+        prm = CriterionParams(theta=theta, gamma=rng.normal(scale=0.3, size=n))
+        mom = moments(model, (h, H))
+        W = evaluate(model, (h, H), prm)
+        assert mom.growth_rate.shape == (k,) and W.shape == (k,)
+        assert mom.second_moment_offset.shape == (k, n, n)
+        for i in range(k):
+            want = reference(model, h[i], H[i], theta, prm.gamma)
+            got = (mom.growth_rate[i], mom.variance_rate[i], mom.wealth_factor_cov[i],
+                   mom.shock_loading[i], mom.second_moment_offset[i], W[i])
+            for g, r in zip(got, want):
+                assert_allclose(g, r, rtol=RTOL)
+        assert_allclose(mom.factor_cov, stationary_covariance(model), rtol=0, atol=0)
+
+
+def test_batched_equals_pointwise():
+    rng = np.random.default_rng(7)
+    for model in cases():
+        m, n = model.m, model.n
+        h = rng.uniform(-2.0, 2.0, (6, m))
+        H = rng.uniform(-2.0, 2.0, (6, m, n))
+        prm = CriterionParams(theta=1.5, gamma=rng.normal(scale=0.3, size=n))
+        stack = moments(model, (h, H))
+        W = evaluate(model, (h, H), prm)
+        for i in range(6):
+            one = moments(model, Strategy(h=h[i], H=H[i]))
+            assert isinstance(one.growth_rate, float) and isinstance(one.variance_rate, float)
+            assert_allclose(stack.growth_rate[i], one.growth_rate, rtol=RTOL)
+            assert_allclose(stack.variance_rate[i], one.variance_rate, rtol=RTOL)
+            assert_allclose(stack.wealth_factor_cov[i], one.wealth_factor_cov, rtol=RTOL)
+            assert_allclose(stack.shock_loading[i], one.shock_loading, rtol=RTOL)
+            assert_allclose(stack.second_moment_offset[i], one.second_moment_offset, rtol=RTOL)
+            assert_allclose(stack.second_moment_slope[i], one.second_moment_slope, rtol=RTOL)
+            w = evaluate(model, Strategy(h=h[i], H=H[i]), prm)
+            assert isinstance(w, float)
+            assert_allclose(W[i], w, rtol=RTOL)
+
+
+def test_prepared_model_is_read_only_and_cached():
+    model = random_stable_model(np.random.default_rng(3), 2, 2)
+    pm = model.prepared
+    assert model.prepared is pm
+    for arr in (pm.D, pm.SS, pm.LS, pm.B_inv, *pm.lyapunov):
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        pm.D[0, 0] = 1.0
+    assert_allclose(pm.D, scipy.linalg.solve_continuous_lyapunov(model.B, -model.Lambda @ model.Lambda.T),
+                    rtol=1e-12)
+    assert_allclose(pm.B_inv @ model.B, np.eye(2), atol=1e-12)
+    strat = Strategy(h=[0.3, -0.2], H=[[0.5, 0.1], [-0.4, 0.2]])
+    first, again = moments(model, strat), moments(model, strat)
+    assert first.growth_rate == again.growth_rate
+    assert first.variance_rate == again.variance_rate
+    assert np.array_equal(first.second_moment_offset, again.second_moment_offset)
+
+
+def test_replaced_model_gets_its_own_cache():
+    model = random_stable_model(np.random.default_rng(8), 1, 2)
+    D = model.prepared.D
+    other = dataclasses.replace(model, B=2.0 * model.B)
+    assert other.prepared is not model.prepared
+    assert_allclose(other.prepared.D, 0.5 * D, rtol=1e-12)
+    assert model.prepared.D is D
+
+
+def test_residual_check_runs_on_the_batched_path(monkeypatch):
+    model = random_stable_model(np.random.default_rng(5), 2, 2)
+    rng = np.random.default_rng(6)
+    stack = (rng.normal(size=(4, 2)), rng.normal(size=(4, 2, 2)))
+    moments(model, stack)                          # builds the cache at the real tolerance
+    monkeypatch.setattr(linalg, "LYAPUNOV_RTOL", 0.0)
+    with pytest.raises(NumericError, match="Lyapunov residual"):
+        moments(model, stack)
+    with pytest.raises(NumericError, match="Lyapunov residual"):
+        evaluate(model, stack, CriterionParams(theta=1.0, gamma=[0.0, 0.0]))
+
+
+def test_gamma_length_checked():
+    model = reference_model()
+    wrong = CriterionParams(theta=1.0, gamma=[0.0, 0.0])
+    with pytest.raises(DimensionError, match="gamma"):
+        evaluate(model, scalar_strategy(1.0, 0.0), wrong)
+    with pytest.raises(DimensionError, match="gamma"):
+        evaluate(model, scalar_strategy(1.0, 0.0), CriterionParams(theta=1.0, gamma=[0.1, 0.2]))
+    with pytest.raises(DimensionError, match="gamma"):
+        optimize(model, wrong)
+    with pytest.raises(DimensionError, match="gamma"):
+        _h_solver(model, wrong, stationary_covariance(model))
+
+
+def test_strategy_shape_checked():
+    model = random_stable_model(np.random.default_rng(9), 2, 3)
+    prm = CriterionParams(theta=1.0, gamma=np.zeros(3))
+    with pytest.raises(DimensionError, match="strategy"):
+        evaluate(model, Strategy(h=np.ones(3), H=np.zeros((3, 3))), prm)
+    with pytest.raises(DimensionError, match="strategy"):
+        moments(model, Strategy(h=np.ones(2), H=np.zeros((2, 2))))
+    with pytest.raises(DimensionError, match="h must"):
+        moments(model, (np.ones((4, 3)), np.zeros((4, 2, 3))))
+    with pytest.raises(DimensionError, match="h must"):
+        moments(model, (np.ones(2), np.zeros((2, 3))))
+    with pytest.raises(DimensionError, match="H must"):
+        moments(model, (np.ones((4, 2)), np.zeros((4, 2, 2))))
+    with pytest.raises(DimensionError, match="H must"):
+        evaluate(model, (np.ones((4, 2)), np.zeros((5, 2, 3))), prm)
+
+
+def test_evaluations_count_every_strategy_scored(monkeypatch):
+    scored = []
+    original = criterion.evaluate
+
+    def counting(model, strategy, params, factor_cov=None):
+        scored.append(1 if isinstance(strategy, Strategy) else len(strategy[0]))
+        return original(model, strategy, params, factor_cov)
+
+    monkeypatch.setattr(criterion, "evaluate", counting)
+    res = optimize(reference_model(), CriterionParams(theta=1.0, gamma=[0.0]),
+                   OptimizerConfig(grid_points=31, local_restarts=3))
+    assert res.evaluations == sum(scored)
+    assert max(scored) == 31                      # the whole scan in one call
+
+
+def test_refinement_from_incumbent_only_when_capped():
+    model = reference_model()
+    prm = CriterionParams(theta=1.0, gamma=[0.0])
+    converged = optimize(model, prm, OptimizerConfig(local_restarts=3))
+    assert len(converged.restarts) == 3
+    capped = optimize(model, prm, OptimizerConfig(local_restarts=3, max_iterations=2))
+    assert len(capped.restarts) == 4
+
