@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -315,13 +314,10 @@ def to_continuous(estimates: DiscreteEstimates, persistence_map: str = "euler") 
             "cross-correlation too large for factorization: implied asset "
             f"noise covariance has eigenvalue {w[0]:.3e}"
         )
-    if m == 1:
-        Sigma_a = np.array([[math.sqrt(max(float(asset_block[0, 0]), 0.0))]])
-    else:
-        try:
-            Sigma_a = np.linalg.cholesky(asset_block)
-        except np.linalg.LinAlgError:
-            Sigma_a = psd_sqrt(asset_block)
+    try:
+        Sigma_a = np.linalg.cholesky(asset_block)
+    except np.linalg.LinAlgError:
+        Sigma_a = psd_sqrt(asset_block)
     Sigma = np.hstack([Sigma_a, Sigma_f])
     Lambda = np.hstack([np.zeros((n, m)), L_f])
     return FactorModel(a=a, A=A, B=B, Sigma=Sigma, Lambda=Lambda)

@@ -114,7 +114,10 @@ def _parse_grid(text: str, log: bool, what: str) -> np.ndarray:
                 raise UsageError(f"{what}: log spacing needs lo > 0, got {lo}")
             return np.geomspace(lo, hi, count)
         return np.linspace(lo, hi, count)
-    return np.array(_parse_floats(text, what))
+    vals = _parse_floats(text, what)
+    if not vals:
+        raise UsageError(f"{what}: no values in {text!r}")
+    return np.array(vals)
 
 
 def _fmt(v) -> str:
@@ -214,6 +217,20 @@ def _strategy_from_flags(model: FactorModel, args) -> Strategy:
     return Strategy(h=h, H=H)
 
 
+def _sim_config(args, **options) -> SimConfig:
+    """The Monte Carlo flags as a SimConfig, any value it rejects as a usage error."""
+    if args.threads < 1:
+        raise UsageError(f"--threads must be at least 1, got {args.threads}")
+    try:
+        cfg = SimConfig(dt=args.dt, horizon=args.horizon, paths=args.paths, seed=args.seed,
+                        **options)
+    except ValueError as err:
+        raise UsageError(str(err)) from None
+    if round(cfg.horizon / cfg.dt) < 1:
+        raise UsageError(f"--horizon {args.horizon} is shorter than one step of --dt {args.dt}")
+    return cfg
+
+
 def cmd_moments(args) -> int:
     model = load_model(args.model)
     strategy = _strategy_from_flags(model, args)
@@ -233,7 +250,7 @@ def cmd_moments(args) -> int:
         print(f"{key} {json.dumps(doc[key])}")
 
     if args.check:
-        cfg = SimConfig(dt=args.dt, horizon=args.horizon, paths=args.paths, seed=args.seed)
+        cfg = _sim_config(args)
         stats = simulate(model, strategy, cfg, threads=args.threads)
         T = stats.horizon
         checks = {
@@ -357,11 +374,8 @@ def cmd_simulate(args) -> int:
     if args.dump_paths and not args.out:
         raise UsageError("--dump-paths needs --out")
     strategy = _strategy_from_flags(model, args)
-    cfg = SimConfig(
-        dt=args.dt, horizon=args.horizon, paths=args.paths, seed=args.seed,
-        factor_scheme=args.scheme, antithetic=args.antithetic,
-        stationary_start=not args.zero_start, keep_paths=args.dump_paths,
-    )
+    cfg = _sim_config(args, factor_scheme=args.scheme, antithetic=args.antithetic,
+                      stationary_start=not args.zero_start, keep_paths=args.dump_paths)
     stats = simulate(model, strategy, cfg, threads=args.threads)
     doc = {
         "config": {

@@ -10,7 +10,6 @@ performance.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,10 +122,11 @@ def require_stable(B) -> np.ndarray:
 def solve_lyapunov(B, Q, rtol: float = LYAPUNOV_RTOL) -> np.ndarray:
     """Solve ``B S + S B' = Q`` for S, with B Hurwitz-stable.
 
-    Uses the dense Bartels-Stewart routine from scipy.  The residual is
-    checked against ``rtol * (||B||_F ||S||_F + ||Q||_F)`` and a symmetric
-    ``Q`` yields an exactly symmetric ``S`` (the solution is symmetrized,
-    which is a no-op in exact arithmetic).
+    Solves the n^2 x n^2 Kronecker system of :func:`lyapunov_operator`
+    (:func:`solve_lyapunov_stack` with k = 1).  The residual is checked
+    against ``rtol * (||B||_F ||S||_F + ||Q||_F)``, and a symmetric ``Q``
+    yields an exactly symmetric ``S`` (the solution is symmetrized, which is
+    a no-op in exact arithmetic).
 
     Raises
     ------
@@ -146,15 +146,7 @@ def solve_lyapunov(B, Q, rtol: float = LYAPUNOV_RTOL) -> np.ndarray:
     if not np.all(np.isfinite(Q)):
         raise NumericError("Q contains non-finite entries")
 
-    if B.shape == (1, 1):
-        # scalar equation 2 B s = q; B is nonzero past the stability gate
-        S = Q / (2.0 * B[0, 0])
-    else:
-        try:
-            S = scipy.linalg.solve_continuous_lyapunov(B, Q)
-        except (ValueError, np.linalg.LinAlgError) as exc:
-            raise NumericError(f"Lyapunov solve failed: {exc}") from exc
-    check_lyapunov_residual(B, S, Q, rtol)
+    S = solve_lyapunov_stack(B, lyapunov_operator(B), Q[None], rtol)[0]
 
     qnorm = np.linalg.norm(Q)
     if np.linalg.norm(Q - Q.T) <= 1e-12 * max(qnorm, 1.0):
@@ -190,19 +182,21 @@ def lyapunov_operator(B: np.ndarray):
     return scipy.linalg.lu_factor(np.kron(eye, B) + np.kron(B, eye), check_finite=False)
 
 
-def solve_lyapunov_stack(B: np.ndarray, lu, Q: np.ndarray) -> np.ndarray:
+def solve_lyapunov_stack(B: np.ndarray, lu, Q: np.ndarray,
+                         rtol: float | None = None) -> np.ndarray:
     """Solve ``B S_i + S_i B' = Q_i`` for a stack Q of shape (k, n, n) in one solve.
 
-    ``lu`` is :func:`lyapunov_operator` of the stable ``B``.  Every
-    slice passes the residual check of :func:`solve_lyapunov` at
-    ``LYAPUNOV_RTOL``; the result is not symmetrized.
+    ``lu`` is :func:`lyapunov_operator` of the stable ``B``.  Every slice
+    passes the residual check of :func:`solve_lyapunov` at ``rtol``
+    (default: ``LYAPUNOV_RTOL`` as it is at call time); the result is not
+    symmetrized.
     """
     k, n = Q.shape[0], B.shape[0]
     x, info = scipy.linalg.lapack.dgetrs(*lu, Q.reshape(k, n * n).T)
     if info != 0:  # pragma: no cover - only for malformed arguments
         raise NumericError(f"Lyapunov solve failed: getrs info {info}")
     S = x.T.reshape(k, n, n)
-    check_lyapunov_residual(B, S, Q, LYAPUNOV_RTOL)
+    check_lyapunov_residual(B, S, Q, LYAPUNOV_RTOL if rtol is None else rtol)
     return S
 
 
@@ -224,11 +218,6 @@ def psd_sqrt(M, rtol: float = 1e-10) -> np.ndarray:
     input was not a covariance to numerical precision.
     """
     M = np.asarray(M, dtype=float)
-    if M.shape == (1, 1):
-        v = float(M[0, 0])
-        if v < -rtol:
-            raise NumericError(f"matrix is not positive semidefinite (eigenvalue {v:.3e})")
-        return np.array([[math.sqrt(max(v, 0.0))]])
     sym = 0.5 * (M + M.T)
     w, V = np.linalg.eigh(sym)
     floor = -rtol * max(float(w[-1]), 1.0)

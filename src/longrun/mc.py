@@ -4,14 +4,15 @@ The simulator integrates the log-wealth increment directly,
 
     du = (h + Hx)'((a + Ax) dt + Sigma dW) - (h + Hx)'SS'(h + Hx)/2 dt,
 
-with an Euler step (left endpoint), while the factor transition is exact by
-default: x advances by the one-step map e^{B dt} with innovation covariance
-``Delta - e^{B dt} Delta e^{B' dt}``, drawn jointly with the Brownian
-increment through the exact conditional law (cov(nu, dW) = B^{-1}(e^{B dt} -
-I) Lambda).  With a stationary start this makes the sample mean of u(T) an
-unbiased estimate of growth_rate * T at any step size; variances and
-covariances carry only O(dt) discretization error.  A plain Euler factor
-step is available for convergence studies.
+with an Euler step (left endpoint).  Both factor schemes run one recursion,
+x_j = phi x_{j-1} + nu_j.  The default is exact: phi = e^{B dt}, and nu, of
+covariance ``Delta - phi Delta phi'``, is drawn jointly with the Brownian
+increment through the exact conditional law (cov(nu, dW) = B^{-1}(phi - I)
+Lambda) with n extra normals per step.  With a stationary start this makes
+the sample mean of u(T) an unbiased estimate of growth_rate * T at any step
+size; variances and covariances carry only O(dt) discretization error.  The
+Euler scheme, for convergence studies, is the same recursion with phi = I +
+B dt and nu = Lambda dW, and draws nothing extra.
 
 Reproducibility contract: the normal draws consumed by path i at step j are
 a function of (seed, stream offset, i, j) only, independent of the total
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -157,27 +158,61 @@ def _block_rng(seed: int, stream_offset: int, block: int) -> np.random.Generator
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _transition(model: FactorModel, dt: float, scheme: str, need_stationary: bool):
+@dataclass(frozen=True)
+class _Transition:
+    """One factor step ``x_j = x_{j-1} phi' + nu_j`` and the law of its start.
+
+    ``nu = dW @ nu_from_dw + Z @ resid_sqrt'`` with Z one extra normal per
+    factor, drawn only when ``resid_sqrt`` is not None; ``x0_sqrt`` maps
+    standard normals to the stationary factor law.
+    """
+
+    phi: np.ndarray
+    nu_from_dw: np.ndarray      # (m+n, n)
+    resid_sqrt: np.ndarray | None
+    x0_sqrt: np.ndarray
+
+
+def _transition(model: FactorModel, dt: float, scheme: str) -> _Transition:
     """One-step factor transition and shock-coupling pieces."""
-    B, Lm = model.B, model.Lambda
-    n = model.n
-    pre = {"scheme": scheme}
-    if scheme == "exact" or need_stationary:
-        dlt = model.prepared.D
-        pre["x0_sqrt"] = psd_sqrt(dlt)
-    if scheme == "exact":
-        phi = scipy.linalg.expm(B * dt)
-        step_cov = dlt - phi @ dlt @ phi.T
-        # cov(nu, dW) with Var(dW) = dt I
-        M = np.linalg.solve(B, (phi - np.eye(n)) @ Lm)
-        resid = step_cov - (M @ M.T) / dt
-        pre["phi"] = phi
-        pre["nu_from_dw"] = (M / dt).T      # (m+n, n): nu = dW @ this + extra
-        pre["resid_sqrt"] = psd_sqrt(resid)
-    return pre
+    B, Lm, dlt = model.B, model.Lambda, model.prepared.D
+    eye = np.eye(model.n)
+    if scheme == "euler":
+        return _Transition(eye + B * dt, Lm.T, None, psd_sqrt(dlt))
+    phi = scipy.linalg.expm(B * dt)
+    step_cov = dlt - phi @ dlt @ phi.T
+    # cov(nu, dW) with Var(dW) = dt I
+    M = np.linalg.solve(B, (phi - eye) @ Lm)
+    resid = step_cov - (M @ M.T) / dt
+    return _Transition(phi, (M / dt).T, psd_sqrt(resid), psd_sqrt(dlt))
 
 
-def _march_block(model, strategy, config, pre, steps, block, rows, stream_offset):
+def _normals(rng: np.random.Generator, shape, antithetic: bool) -> np.ndarray:
+    """Standard normals of ``shape``; antithetic pairs flip the odd rows' signs."""
+    Z = rng.standard_normal(shape)
+    if antithetic:
+        Z[1::2] = -Z[0::2]
+    return Z
+
+
+def _factor_path(x: np.ndarray, nu: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """States x_1..x_L of ``x_j = x_{j-1} phi' + nu_j`` from x_0 = ``x``.
+
+    ``x`` has shape (..., n) and ``nu`` (..., L, n); the result is shaped
+    like ``nu``.  A single factor runs as one linear filter over the steps.
+    """
+    if x.shape[-1] == 1:
+        c = float(phi[0, 0])
+        path, _ = lfilter([1.0], [1.0, -c], nu[..., 0], axis=-1, zi=(c * x[..., 0])[..., None])
+        return path[..., None]
+    out = np.empty_like(nu)
+    for j in range(nu.shape[-2]):
+        x = x @ phi.T + nu[..., j, :]
+        out[..., j, :] = x
+    return out
+
+
+def _march_block(model, strategy, config, tr, steps, block, rows, stream_offset):
     """Advance one block of paths to the terminal time.
 
     Returns (u, x) of shapes (rows,) and (rows, n).  Draw layout is fixed:
@@ -186,63 +221,32 @@ def _march_block(model, strategy, config, pre, steps, block, rows, stream_offset
     full block size and sliced to ``rows``.
     """
     m, n = model.m, model.n
-    k = m + n
     dt = config.dt
     sqdt = math.sqrt(dt)
-    exact = pre["scheme"] == "exact"
+    anti = config.antithetic
     rng = _block_rng(config.seed, stream_offset, block)
 
     a = model.a
     AT = model.A.T
-    SS = model.Sigma @ model.Sigma.T
+    SS = model.prepared.SS
     SgT = model.Sigma.T
-    LmT = model.Lambda.T
-    BT = model.B.T
     h, HT = strategy.h, strategy.H.T
 
     if config.stationary_start:
-        Z0 = rng.standard_normal((BLOCK, n))
-        if config.antithetic:
-            Z0[1::2] = -Z0[0::2]
-        x = Z0[:rows] @ pre["x0_sqrt"].T
+        x = _normals(rng, (BLOCK, n), anti)[:rows] @ tr.x0_sqrt.T
     else:
         x = np.zeros((rows, n))
 
     u = np.zeros(rows)
-    scalar_fast = n == 1
-    if scalar_fast:
-        coef = float(pre["phi"][0, 0]) if exact else 1.0 + float(model.B[0, 0]) * dt
-
     for c0 in range(0, steps, CHUNK):
         L = min(CHUNK, steps - c0)
-        Z = rng.standard_normal((BLOCK, CHUNK, k))
-        if config.antithetic:
-            Z[1::2] = -Z[0::2]
-        dW = Z[:rows, :L] * sqdt
-        if exact:
-            Z2 = rng.standard_normal((BLOCK, CHUNK, n))
-            if config.antithetic:
-                Z2[1::2] = -Z2[0::2]
-            nu = dW @ pre["nu_from_dw"] + Z2[:rows, :L] @ pre["resid_sqrt"].T
-        else:
-            nu = dW @ LmT                          # Euler factor shock
-
-        xleft = np.empty((rows, L, n))
-        if scalar_fast:
-            innov = nu[:, :, 0]
-            path, _ = lfilter([1.0], [1.0, -coef], innov, axis=1, zi=(coef * x[:, 0])[:, None])
-            xleft[:, 0, 0] = x[:, 0]
-            xleft[:, 1:, 0] = path[:, :-1]
-            x = path[:, -1:].copy()
-        else:
-            xi = x
-            for j in range(L):
-                xleft[:, j, :] = xi
-                if exact:
-                    xi = xi @ pre["phi"].T + nu[:, j]
-                else:
-                    xi = xi + (xi @ BT) * dt + nu[:, j]
-            x = xi
+        dW = _normals(rng, (BLOCK, CHUNK, m + n), anti)[:rows, :L] * sqdt
+        nu = dW @ tr.nu_from_dw
+        if tr.resid_sqrt is not None:
+            nu = nu + _normals(rng, (BLOCK, CHUNK, n), anti)[:rows, :L] @ tr.resid_sqrt.T
+        path = _factor_path(x, nu, tr.phi)
+        xleft = np.concatenate([x[:, None], path[:, :-1]], axis=1)
+        x = path[:, -1]
 
         w = h + xleft @ HT                          # (rows, L, m)
         mu = a + xleft @ AT
@@ -251,10 +255,9 @@ def _march_block(model, strategy, config, pre, steps, block, rows, stream_offset
         shock = np.einsum("plm,plm->pl", w, dW @ SgT)
         inc = (drift - 0.5 * quad) * dt + shock
 
-        if not np.all(np.isfinite(inc)):
-            bad = np.argwhere(~np.isfinite(inc))
-            j = int(bad[:, 1].min())
-            p = int(bad[bad[:, 1] == j][:, 0].min())
+        bad = ~np.isfinite(inc)
+        if bad.any():
+            j, p = divmod(int(np.argmax(bad.T)), rows)   # earliest step, then lowest path
             raise SimulationError(
                 f"non-finite value at step {c0 + j}, path {block * BLOCK + p}"
             )
@@ -267,12 +270,11 @@ def _march_block(model, strategy, config, pre, steps, block, rows, stream_offset
     return u, x
 
 
-def _mean_se(values: np.ndarray, antithetic: bool) -> float:
-    """Standard error of the mean; antithetic pairs are averaged first."""
+def _mean_se(values: np.ndarray, antithetic: bool) -> np.ndarray:
+    """Standard error of the mean along axis 0; antithetic pairs are averaged first."""
     if antithetic:
         values = 0.5 * (values[0::2] + values[1::2])
-    nobs = values.shape[0]
-    return float(values.std(ddof=1) / math.sqrt(nobs))
+    return values.std(axis=0, ddof=1) / math.sqrt(values.shape[0])
 
 
 def simulate(model: FactorModel, strategy: Strategy, config: SimConfig,
@@ -284,17 +286,13 @@ def simulate(model: FactorModel, strategy: Strategy, config: SimConfig,
     ``stream_offset`` selects a disjoint stream family; batches run with
     different offsets are statistically independent at the same seed.
     """
-    if strategy.h.shape[0] != model.m or strategy.H.shape != (model.m, model.n):
-        raise ValueError(
-            f"strategy shaped for (m={strategy.h.shape[0]}, n={strategy.H.shape[1] if strategy.H.ndim == 2 else '?'}), "
-            f"model has (m={model.m}, n={model.n})"
-        )
+    if strategy.H.shape != (model.m, model.n):
+        raise ValueError(f"strategy H has shape {strategy.H.shape}, model has (m={model.m}, n={model.n})")
     steps = int(round(config.horizon / config.dt))
     if steps < 1:
         raise ValueError("horizon shorter than one step")
-    eff_horizon = steps * config.dt
 
-    pre = _transition(model, config.dt, config.factor_scheme, config.stationary_start)
+    tr = _transition(model, config.dt, config.factor_scheme)
     paths, n = config.paths, model.n
     u = np.empty(paths)
     xf = np.empty((paths, n))
@@ -303,69 +301,55 @@ def simulate(model: FactorModel, strategy: Strategy, config: SimConfig,
     def run(block: int):
         lo = block * BLOCK
         rows = min(BLOCK, paths - lo)
-        ub, xb = _march_block(model, strategy, config, pre, steps, block, rows, stream_offset)
-        u[lo:lo + rows] = ub
-        xf[lo:lo + rows] = xb
+        u[lo:lo + rows], xf[lo:lo + rows] = _march_block(
+            model, strategy, config, tr, steps, block, rows, stream_offset)
 
     if threads > 1 and nblocks > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(run, range(nblocks)))
     else:
-        for b in range(nblocks):
-            run(b)
+        list(map(run, range(nblocks)))
 
+    anti = config.antithetic
     du = u - u.mean()
-    nobs = paths
-    m2 = float(u.var(ddof=1))
-    var_se = _mean_se(du ** 2, config.antithetic)
-
-    dx = xf - xf.mean(axis=0)
-    cov_prod = du[:, None] * dx                      # (paths, n)
-    cov_ux = cov_prod.sum(axis=0) / (nobs - 1)
-    cov_se = np.array([_mean_se(cov_prod[:, j], config.antithetic) for j in range(n)])
-
+    cov_prod = du[:, None] * (xf - xf.mean(axis=0))      # (paths, n)
     uxx = u[:, None, None] * (xf[:, :, None] * xf[:, None, :])
-    mean_uxx = uxx.mean(axis=0)
-    uxx_se = np.empty((n, n))
-    for r in range(n):
-        for s in range(n):
-            uxx_se[r, s] = _mean_se(uxx[:, r, s], config.antithetic)
 
     return PathStats(
-        horizon=eff_horizon,
+        horizon=steps * config.dt,
         dt=config.dt,
         paths=paths,
         mean_u=float(u.mean()),
-        mean_u_se=_mean_se(u, config.antithetic),
-        var_u=m2,
-        var_u_se=var_se,
-        cov_ux=cov_ux,
-        cov_ux_se=cov_se,
-        mean_uxx=mean_uxx,
-        mean_uxx_se=uxx_se,
+        mean_u_se=float(_mean_se(u, anti)),
+        var_u=float(u.var(ddof=1)),
+        var_u_se=float(_mean_se(du ** 2, anti)),
+        cov_ux=cov_prod.sum(axis=0) / (paths - 1),
+        cov_ux_se=_mean_se(cov_prod, anti),
+        mean_uxx=uxx.mean(axis=0),
+        mean_uxx_se=_mean_se(uxx, anti),
         final_u=u if config.keep_paths else None,
         final_x=xf if config.keep_paths else None,
     )
 
 
-def _wls_line(t: np.ndarray, y: np.ndarray, se: np.ndarray):
-    """Weighted least squares of y on (1, t).
+def _wls_lines(t: np.ndarray, y: np.ndarray, se: np.ndarray):
+    """Weighted least squares of each column of y (len(t), q) on (1, t).
 
-    Returns (intercept, slope, intercept_se, slope_se).  Weights are the
-    inverse squared standard errors, floored so exact (zero-error) points
-    keep finite weight.
+    Returns (intercept, slope, intercept_se, slope_se), each of shape (q,).
+    Weights are the inverse squared standard errors, floored per column so
+    exact (zero-error) points keep finite weight.
     """
-    floor = 1e-12 * max(float(np.max(np.abs(y))), 1.0) + 1e-300
+    floor = 1e-12 * np.maximum(np.abs(y).max(axis=0), 1.0) + 1e-300
     w = 1.0 / np.maximum(se, floor) ** 2
     X = np.column_stack([np.ones_like(t), t])
-    A = X.T @ (w[:, None] * X)
-    b = X.T @ (w * y)
-    det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-    if not np.isfinite(det) or det <= 1e-12 * A[0, 0] * A[1, 1]:
+    A = np.einsum("tq,ti,tj->qij", w, X, X)
+    b = np.einsum("tq,ti,tq->qi", w, X, y)
+    det = A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] * A[:, 1, 0]
+    if not np.all(np.isfinite(det) & (det > 1e-12 * A[:, 0, 0] * A[:, 1, 1])):
         raise NumericError("degenerate horizon grid: cannot separate slope from intercept")
-    coef = np.linalg.solve(A, b)
+    coef = np.linalg.solve(A, b[..., None])[..., 0]
     cov = np.linalg.inv(A)
-    return float(coef[0]), float(coef[1]), math.sqrt(cov[0, 0]), math.sqrt(cov[1, 1])
+    return coef[:, 0], coef[:, 1], np.sqrt(cov[:, 0, 0]), np.sqrt(cov[:, 1, 1])
 
 
 def estimate_asymptotics(model: FactorModel, strategy: Strategy, config: SimConfig,
@@ -384,41 +368,26 @@ def estimate_asymptotics(model: FactorModel, strategy: Strategy, config: SimConf
     if not np.all(np.diff(t) > 0):
         raise ValueError("horizon grid must be strictly increasing")
 
-    runs = []
-    for j, horizon in enumerate(t):
-        cfg = SimConfig(
-            dt=config.dt, horizon=float(horizon), paths=config.paths,
-            seed=config.seed, factor_scheme=config.factor_scheme,
-            antithetic=config.antithetic, stationary_start=config.stationary_start,
-            keep_paths=False,
-        )
-        runs.append(simulate(model, strategy, cfg, threads=threads, stream_offset=j))
-
+    runs = tuple(
+        simulate(model, strategy, replace(config, horizon=float(horizon), keep_paths=False),
+                 threads=threads, stream_offset=j)
+        for j, horizon in enumerate(t)
+    )
     horizons = np.array([r.horizon for r in runs])
-    _, g_slope, _, g_se = _wls_line(
-        horizons, np.array([r.mean_u for r in runs]), np.array([r.mean_u_se for r in runs])
-    )
-    _, v_slope, _, v_se = _wls_line(
-        horizons, np.array([r.var_u for r in runs]), np.array([r.var_u_se for r in runs])
-    )
+    # one column per fitted line: mean_u, var_u, then mean_uxx row-major
+    y = np.array([[r.mean_u, r.var_u, *r.mean_uxx.ravel()] for r in runs])
+    se = np.array([[r.mean_u_se, r.var_u_se, *r.mean_uxx_se.ravel()] for r in runs])
+    offset, slope, offset_se, slope_se = _wls_lines(horizons, y, se)
     n = model.n
-    slope = np.empty((n, n)); slope_se = np.empty((n, n))
-    offset = np.empty((n, n)); offset_se = np.empty((n, n))
-    for r in range(n):
-        for s in range(n):
-            y = np.array([run.mean_uxx[r, s] for run in runs])
-            e = np.array([run.mean_uxx_se[r, s] for run in runs])
-            off, sl, off_e, sl_e = _wls_line(horizons, y, e)
-            slope[r, s], slope_se[r, s] = sl, sl_e
-            offset[r, s], offset_se[r, s] = off, off_e
-
     return AsymptoticEstimates(
         horizons=horizons,
-        growth_slope=g_slope, growth_slope_se=g_se,
-        variance_slope=v_slope, variance_slope_se=v_se,
-        second_moment_slope=slope, second_moment_slope_se=slope_se,
-        second_moment_offset=offset, second_moment_offset_se=offset_se,
-        per_horizon=tuple(runs),
+        growth_slope=float(slope[0]), growth_slope_se=float(slope_se[0]),
+        variance_slope=float(slope[1]), variance_slope_se=float(slope_se[1]),
+        second_moment_slope=slope[2:].reshape(n, n),
+        second_moment_slope_se=slope_se[2:].reshape(n, n),
+        second_moment_offset=offset[2:].reshape(n, n),
+        second_moment_offset_se=offset_se[2:].reshape(n, n),
+        per_horizon=runs,
     )
 
 
@@ -434,36 +403,17 @@ def simulate_discrete(model: FactorModel, months: int, seed: int = 0,
     """
     if months < 24:
         raise ValueError("need at least 24 months for a calibratable series")
-    m, n = model.m, model.n
-    k = m + n
-    pre = _transition(model, 1.0, "exact", need_stationary=True)
+    n = model.n
+    tr = _transition(model, 1.0, "exact")
     rng = _block_rng(seed, _DISCRETE_TAG, 0)
 
-    Z0 = rng.standard_normal(n)
-    Z = rng.standard_normal((months, k))
+    x0 = tr.x0_sqrt @ rng.standard_normal(n)
+    Z = rng.standard_normal((months, model.m + n))
     Z2 = rng.standard_normal((months, n))
-
-    x0 = pre["x0_sqrt"] @ Z0
-    nu = Z @ pre["nu_from_dw"] + Z2 @ pre["resid_sqrt"].T
-    phi = pre["phi"]
-
-    levels = np.empty((months, n))
-    if n == 1:
-        coef = float(phi[0, 0])
-        path, _ = lfilter([1.0], [1.0, -coef], nu[:, 0], zi=np.array([coef * x0[0]]))
-        levels[:, 0] = path
-    else:
-        xi = x0
-        for t in range(months):
-            xi = phi @ xi + nu[t]
-            levels[t] = xi
+    levels = _factor_path(x0, Z @ tr.nu_from_dw + Z2 @ tr.resid_sqrt.T, tr.phi)
     prev = np.vstack([x0, levels[:-1]])
     returns = model.a + prev @ model.A.T + Z @ model.Sigma.T
 
-    dates = []
     base = start_year * 12 + (start_month - 1)
-    for i in range(months):
-        yy, mm = divmod(base + i, 12)
-        dates.append(f"{yy:04d}-{mm + 1:02d}")
-
-    return TimeSeriesData(dates=tuple(dates), excess_returns=returns, factor_levels=levels)
+    dates = tuple(f"{(base + i) // 12:04d}-{(base + i) % 12 + 1:02d}" for i in range(months))
+    return TimeSeriesData(dates=dates, excess_returns=returns, factor_levels=levels)

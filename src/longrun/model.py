@@ -206,25 +206,20 @@ def validate_model(a, A, B, Sigma, Lambda) -> FactorModel:
     Returns the validated model; raises :class:`ModelValidationError` whose
     ``violations`` collects every failed invariant.
     """
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    Sigma = np.atleast_2d(np.asarray(Sigma, dtype=float))
-    Lambda = np.atleast_2d(np.asarray(Lambda, dtype=float))
-
-    problems = _structural_violations(a, A, B, Sigma, Lambda)
-    if not problems:
-        gram = Sigma @ Sigma.T
-        eigs = np.linalg.eigvalsh(gram)
-        floor = 1e-12 * max(float(eigs[-1]), 1e-300)
-        if eigs[0] <= floor:
-            problems.append(
-                "Sigma Sigma' is not positive definite "
-                f"(min eigenvalue {eigs[0]:.3e})"
-            )
-    if problems:
-        raise ModelValidationError(problems)
-    return FactorModel(a=a, A=A, B=B, Sigma=Sigma, Lambda=Lambda)
+    model = FactorModel(
+        a=np.atleast_1d(np.asarray(a, dtype=float)),
+        A=np.atleast_2d(np.asarray(A, dtype=float)),
+        B=np.atleast_2d(np.asarray(B, dtype=float)),
+        Sigma=np.atleast_2d(np.asarray(Sigma, dtype=float)),
+        Lambda=np.atleast_2d(np.asarray(Lambda, dtype=float)),
+    )
+    eigs = np.linalg.eigvalsh(model.Sigma @ model.Sigma.T)
+    floor = 1e-12 * max(float(eigs[-1]), 1e-300)
+    if eigs[0] <= floor:
+        raise ModelValidationError(
+            [f"Sigma Sigma' is not positive definite (min eigenvalue {eigs[0]:.3e})"]
+        )
+    return model
 
 
 @dataclass(frozen=True)

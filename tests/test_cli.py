@@ -292,3 +292,18 @@ def test_calibrate_rejects_threads_exit_1(capsys):
 def test_unread_flags_rejected_exit_1(argv, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--paths", "1"],
+    ["simulate", "--dt", "0"],
+    ["simulate", "--antithetic", "--paths", "5"],
+    ["simulate", "--horizon", "0.01"],
+    ["simulate", "--threads", "0", "--horizon", "1", "--paths", "4"],
+    ["moments", "--check", "--paths", "1"],
+    ["moments", "--check", "--threads", "0", "--horizon", "1", "--paths", "4"],
+    ["sweep", "--mode", "theta", "--range", ","],
+])
+def test_rejected_flag_values_exit_1(argv, model_file, tmp_path, capsys):
+    assert main(argv + ["--model", model_file, "--out", str(tmp_path / "o")]) == 1
+    assert "longrun: error:" in capsys.readouterr().err

@@ -20,8 +20,9 @@ def kron_lyapunov(B: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """Dense vectorization oracle for B S + S B' = Q.
 
     Column-major vec turns the equation into
-    (I kron B + B kron I) vec(S) = vec(Q); completely independent of the
-    Bartels-Stewart path used by the library.
+    (I kron B + B kron I) vec(S) = vec(Q), solved densely here; the library
+    factors the row-major form once per B.  scipy's Bartels-Stewart solver
+    is the independent reference (test_matches_scipy_on_scalar).
     """
     n = B.shape[0]
     M = np.kron(np.eye(n), B) + np.kron(B, np.eye(n))
@@ -42,6 +43,16 @@ def test_matches_scipy_on_scalar():
     ours = solve_lyapunov(B, Q)
     ref = scipy.linalg.solve_continuous_lyapunov(B, Q)
     assert_allclose(ours, ref, rtol=1e-13)
+
+    # scipy's Bartels-Stewart stays the reference for the Kronecker solve
+    rng = np.random.default_rng(44)
+    for _ in range(40):
+        B = random_stable_model(rng, 1, int(rng.integers(1, 5))).B
+        R = rng.normal(size=B.shape)
+        for Q in (R + R.T, R):
+            ours = solve_lyapunov(B, Q)
+            ref = scipy.linalg.solve_continuous_lyapunov(B, Q)
+            assert_allclose(ours, ref, rtol=1e-11, atol=1e-13 * np.abs(ref).max())
 
 
 def test_random_models_residual_and_oracle():

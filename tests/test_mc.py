@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -5,6 +7,7 @@ from numpy.testing import assert_allclose
 from conftest import scalar_strategy
 from longrun import (
     FactorModel,
+    PathStats,
     SimConfig,
     SimulationError,
     Strategy,
@@ -15,9 +18,28 @@ from longrun import (
     stationary_covariance,
     timeseries_to_csv,
 )
-from longrun.mc import recommended_horizon
+from longrun.mc import BLOCK, recommended_horizon
 
 FAST = SimConfig(dt=0.25, horizon=100.0, paths=512, seed=3)
+
+
+def two_factor():
+    """One asset, two coupled factors, and a strategy tilted on both."""
+    model = FactorModel(
+        a=np.array([0.02]),
+        A=np.array([[-0.01, 0.005]]),
+        B=np.array([[-0.05, 0.02], [-0.03, -0.4]]),
+        Sigma=np.array([[0.05, 0.001, 0.002]]),
+        Lambda=np.array([[0.0, 0.6, 0.1], [0.0, 0.05, 0.3]]),
+    )
+    return model, Strategy(h=np.array([0.5]), H=np.array([[0.1, -0.2]]))
+
+
+def column_se(values, antithetic):
+    """Standard error of the mean of one column, pairs averaged first."""
+    if antithetic:
+        values = 0.5 * (values[0::2] + values[1::2])
+    return values.std(ddof=1) / np.sqrt(values.shape[0])
 
 
 def test_config_validation():
@@ -49,6 +71,14 @@ def test_thread_count_does_not_change_results(model, hold_only):
     assert a.var_u == b.var_u
     assert np.array_equal(a.cov_ux, b.cov_ux)
 
+    # three blocks, so the worker pool runs; every field, paths kept
+    cfg = SimConfig(dt=0.5, horizon=5.0, paths=2 * BLOCK + 100, seed=3, keep_paths=True)
+    for mdl, strat in ((model, hold_only), two_factor()):
+        a = simulate(mdl, strat, cfg, threads=1)
+        b = simulate(mdl, strat, cfg, threads=3)
+        for field in dataclasses.fields(PathStats):
+            assert np.array_equal(getattr(a, field.name), getattr(b, field.name)), field.name
+
 
 def test_seed_and_stream_offset_decorrelate(model, hold_only):
     base = simulate(model, hold_only, FAST)
@@ -72,6 +102,8 @@ def test_antithetic_mirrors_factor_paths(model, hold_only):
     cfg = SimConfig(dt=0.5, horizon=20.0, paths=64, seed=2, antithetic=True,
                     keep_paths=True)
     stats = simulate(model, hold_only, cfg)
+    assert_allclose(stats.final_x[1::2], -stats.final_x[0::2], atol=1e-14)
+    stats = simulate(*two_factor(), cfg)
     assert_allclose(stats.final_x[1::2], -stats.final_x[0::2], atol=1e-14)
 
 
@@ -134,6 +166,14 @@ def test_euler_scheme_agrees_with_exact(model, hold_only):
                      SimConfig(dt=0.02, horizon=100.0, paths=3000, seed=13,
                                factor_scheme="euler"),
                      threads=4)
+    se = np.hypot(exact.mean_u_se, euler.mean_u_se)
+    assert abs(exact.mean_u - euler.mean_u) < 4.0 * se
+
+    # two factors: the Euler step is the matrix recursion with I + B dt
+    two, strat = two_factor()
+    exact = simulate(two, strat, SimConfig(dt=0.1, horizon=20.0, paths=2000, seed=12))
+    euler = simulate(two, strat, SimConfig(dt=0.1, horizon=20.0, paths=2000, seed=13,
+                                           factor_scheme="euler"))
     se = np.hypot(exact.mean_u_se, euler.mean_u_se)
     assert abs(exact.mean_u - euler.mean_u) < 4.0 * se
 
@@ -219,3 +259,33 @@ def test_discrete_series_noise_free_factors():
 def test_discrete_series_minimum_length(model):
     with pytest.raises(ValueError, match="24"):
         simulate_discrete(model, 23)
+
+
+def test_draw_layout_pinned(model):
+    # values recorded from the released draw layout; a change to the
+    # generator, the block/chunk grouping or the draw order fails here
+    cfg = SimConfig(dt=0.5, horizon=10.0, paths=64, seed=11, keep_paths=True)
+    one = simulate(model, scalar_strategy(1.0, 0.5), cfg)
+    assert_allclose(one.mean_u, -0.32130010051907165, rtol=1e-12)
+    assert_allclose(one.var_u, 0.4251350539472187, rtol=1e-12)
+    assert_allclose(one.final_u[:3], [0.21608580330333613, 0.10854752321942886,
+                                      -0.2793234421178068], rtol=1e-12)
+    two = simulate(*two_factor(), cfg)
+    assert_allclose(two.mean_u, 0.07477278224382353, rtol=1e-12)
+    assert_allclose(two.var_u, 0.010415819650705862, rtol=1e-12)
+    assert_allclose(two.final_u[:3], [0.0003236058612103264, 0.1723725953253914,
+                                      0.06073981960352743], rtol=1e-12)
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_two_factor_standard_errors_match_kept_paths(antithetic):
+    cfg = SimConfig(dt=0.5, horizon=20.0, paths=600, seed=5, antithetic=antithetic,
+                    keep_paths=True)
+    stats = simulate(*two_factor(), cfg)
+    u, x = stats.final_u, stats.final_x
+    du, dx = u - u.mean(), x - x.mean(axis=0)
+    for j in range(2):
+        assert_allclose(stats.cov_ux_se[j], column_se(du * dx[:, j], antithetic), rtol=1e-12)
+        for k in range(2):
+            assert_allclose(stats.mean_uxx_se[j, k], column_se(u * x[:, j] * x[:, k], antithetic),
+                            rtol=1e-12)

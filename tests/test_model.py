@@ -152,3 +152,16 @@ def test_validate_collects_multiple_violations():
     assert len(exc.value.violations) >= 2
     joined = " ".join(exc.value.violations)
     assert "a " in joined and "B " in joined
+
+
+def test_validate_model_checks_stability_once(monkeypatch, model):
+    import longrun.model as model_module
+
+    calls = []
+    original = model_module.check_stability
+    monkeypatch.setattr(model_module, "check_stability",
+                        lambda B: calls.append(1) or original(B))
+    validate_model(model.a, model.A, model.B, model.Sigma, model.Lambda)
+    assert len(calls) == 1
+    model_from_dict(model_to_dict(model))
+    assert len(calls) == 2
