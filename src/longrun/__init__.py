@@ -67,7 +67,6 @@ from .model import (
 from .moments import (
     AsymptoticMoments,
     growth_rate,
-    covariance_limit,
     moments,
     scalar_moments,
     stationary_covariance,
@@ -87,7 +86,7 @@ __all__ = [
     "check_stability", "solve_lyapunov", "solve_lyapunov_const",
     # closed-form moments
     "AsymptoticMoments", "stationary_covariance", "growth_rate",
-    "covariance_limit", "variance_rate", "moments", "scalar_moments",
+    "variance_rate", "moments", "scalar_moments",
     # criterion and optimizer
     "OptimizerConfig", "OptimizationResult", "SweepResult",
     "UnboundedCriterionError", "evaluate", "optimize",

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 import scipy.linalg
 
-from .linalg import psd_sqrt, require_stable
+from .linalg import psd_sqrt
 from .model import FactorModel, validate_model
 
 __all__ = [
@@ -184,10 +184,10 @@ class CalibrationReport:
 
 
 def _ols(X: np.ndarray, Y: np.ndarray, col_names) -> tuple:
-    """OLS of every column of Y on X; returns (coef, tstats).
+    """OLS of every column of Y on X; returns (coef, tstats, resid).
 
-    coef has shape (Y cols, X cols); tstats likewise.  Raises on rank
-    deficiency, naming the offending columns.
+    coef has shape (Y cols, X cols); tstats likewise; resid has the shape of
+    Y.  Raises on rank deficiency, naming the offending columns.
     """
     T, p = X.shape
     spread = X.std(axis=0)
@@ -238,8 +238,7 @@ def estimate_discrete(data: TimeSeriesData) -> DiscreteEstimates:
     coef_f, t_f, resid_f = _ols(Xf, fac[1:], ["constant"] + lag_names)
 
     resid = np.hstack([resid_r, resid_f])
-    cov = np.cov(resid, rowvar=False, ddof=1)
-    cov = np.atleast_2d(cov)
+    cov = np.cov(resid, rowvar=False, ddof=1)      # 2-D: at least one asset and one factor
 
     return DiscreteEstimates(
         nobs=len(data.dates) - 1,
@@ -286,7 +285,7 @@ def to_continuous(estimates: DiscreteEstimates, persistence_map: str = "euler") 
                 "matrix logarithm of the persistence is complex; use the euler map"
             )
         B = L.real
-    require_stable(B)
+    # B is stable here: Re eig(B) <= rho - 1 (euler) or ln(rho) (log), both < 0
 
     scale = RETURN_PERCENT_SCALE
     a = estimates.return_const / scale
@@ -417,13 +416,14 @@ def _parse_timeseries(text: str, origin: str) -> TimeSeriesData:
                 f"{origin}: line {lineno} has {len(row)} fields, expected {len(header)}"
             )
         dates.append(row[0].strip())
-        try:
-            values = [float(v) for v in row[1:]]
-        except ValueError:
-            bad = next(v for v in row[1:] if not _is_float(v))
-            raise CalibrationDataError(
-                f"{origin}: line {lineno}: non-numeric value {bad.strip()!r}"
-            ) from None
+        values = []
+        for v in row[1:]:
+            try:
+                values.append(float(v))
+            except ValueError:
+                raise CalibrationDataError(
+                    f"{origin}: line {lineno}: non-numeric value {v.strip()!r}"
+                ) from None
         ret.append(values[:m])
         fac.append(values[m:])
     return TimeSeriesData(
@@ -431,14 +431,6 @@ def _parse_timeseries(text: str, origin: str) -> TimeSeriesData:
         excess_returns=np.array(ret, dtype=float),
         factor_levels=np.array(fac, dtype=float),
     )
-
-
-def _is_float(v: str) -> bool:
-    try:
-        float(v)
-        return True
-    except ValueError:
-        return False
 
 
 def timeseries_to_csv(data: TimeSeriesData) -> str:

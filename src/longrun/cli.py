@@ -12,15 +12,18 @@ reproduces every output byte for byte.
 
 Exit codes: 0 success, 1 usage, 2 bad input data, 3 numeric failure.
 ``sweep`` reports per-point optimizer failures as warnings and exits 0
-unless given ``--strict``, a flag only ``sweep`` takes.  All numbers are
-printed in shortest round-trip form.
+unless given ``--strict``, a flag only ``sweep`` takes.  A flag the run
+would not read (a Monte Carlo flag on ``moments`` without ``--check``, or on
+``simulate --discrete``) is a usage error.  Each JSON document carries the
+fields of its result record (:func:`_record`), and all numbers are printed
+in shortest round-trip form.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
-import io
 import json
 import sys
 from pathlib import Path
@@ -31,7 +34,6 @@ from . import __version__
 from .calibration import (
     CalibrationDataError,
     CalibrationNumericError,
-    CalibrationReport,
     calibrate,
     read_timeseries_csv,
     reference_estimates,
@@ -128,22 +130,26 @@ def _json_text(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _sha256_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+def _record(obj, skip=()) -> dict:
+    """The fields of a frozen record, in field order, as JSON-ready values."""
+    return {f.name: np.asarray(getattr(obj, f.name)).tolist()
+            for f in dataclasses.fields(obj) if f.name not in skip}
+
+
+def _csv(header, columns) -> str:
+    """CSV text: the header line, then one row per entry of the equal-length columns."""
+    rows = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in zip(*columns)]
+    return "\n".join(rows) + "\n"
 
 
 def _strip_out(argv):
-    out, skip = [], False
-    for tok in argv:
-        if skip:
-            skip = False
-            continue
+    """``argv`` without ``--out`` and its value."""
+    out, tokens = [], iter(argv)
+    for tok in tokens:
         if tok == "--out":
-            skip = True
-            continue
-        if tok.startswith("--out="):
-            continue
-        out.append(tok)
+            next(tokens, None)
+        elif not tok.startswith("--out="):
+            out.append(tok)
     return out
 
 
@@ -152,10 +158,10 @@ def _emit(args, verb: str, files: dict, inputs=()) -> None:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     hashes = {}
-    for name, content in files.items():
-        data = content.encode("utf-8") if isinstance(content, str) else content
+    for name, text in files.items():
+        data = text.encode("utf-8")
         (out_dir / name).write_bytes(data)
-        hashes[name] = _sha256_bytes(data)
+        hashes[name] = hashlib.sha256(data).hexdigest()
     arguments = {
         k: v for k, v in vars(args).items() if k not in ("func", "out", "raw_argv")
     }
@@ -166,31 +172,10 @@ def _emit(args, verb: str, files: dict, inputs=()) -> None:
         "command": verb,
         "argv": _strip_out(args.raw_argv),
         "arguments": arguments,
-        "inputs": {str(p): _sha256_bytes(Path(p).read_bytes()) for p in inputs},
+        "inputs": {str(p): hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in inputs},
         "outputs": hashes,
     }
     (out_dir / "manifest.json").write_text(_json_text(manifest), encoding="utf-8")
-
-
-def _report_doc(report: CalibrationReport) -> dict:
-    d = report.discrete
-    return {
-        "v": 1,
-        "model": model_to_dict(report.model),
-        "persistence_map": report.persistence_map,
-        "unit_conventions": report.unit_conventions,
-        "discrete": {
-            "nobs": d.nobs,
-            "factor_means": d.factor_means.tolist(),
-            "return_const": d.return_const.tolist(),
-            "return_slope": d.return_slope.tolist(),
-            "return_tstats": d.return_tstats.tolist(),
-            "factor_const": d.factor_const.tolist(),
-            "persistence": d.persistence.tolist(),
-            "factor_tstats": d.factor_tstats.tolist(),
-            "innovation_cov": d.innovation_cov.tolist(),
-        },
-    }
 
 
 def cmd_calibrate(args) -> int:
@@ -202,10 +187,15 @@ def cmd_calibrate(args) -> int:
             raise UsageError("give a CSV path or --from-tables")
         report = calibrate(read_timeseries_csv(args.csv), persistence_map=args.persistence_map)
         inputs = [args.csv]
-    files = {
-        "model.json": _json_text(model_to_dict(report.model)),
-        "report.json": _json_text(_report_doc(report)),
+    model_doc = model_to_dict(report.model)
+    report_doc = {
+        "v": 1,
+        "model": model_doc,
+        "persistence_map": report.persistence_map,
+        "unit_conventions": report.unit_conventions,
+        "discrete": _record(report.discrete),
     }
+    files = {"model.json": _json_text(model_doc), "report.json": _json_text(report_doc)}
     _emit(args, "calibrate", files, inputs)
     print(f"calibrated model written to {Path(args.out) / 'model.json'}")
     return 0
@@ -215,6 +205,26 @@ def _strategy_from_flags(model: FactorModel, args) -> Strategy:
     h = _parse_vector(args.h, model.m, "--h")
     H = _parse_matrix(args.H, model.m, model.n, "--H")
     return Strategy(h=h, H=H)
+
+
+def _reject_unread(args, names, when: str) -> None:
+    """Usage error naming each flag in ``names`` whose value is not the parser's default.
+
+    (argv is not searched: it may hold an abbreviation such as ``--pa``.)
+    """
+    default = build_parser().parse_args([args.command, f"--model={args.model}"])
+    given = [f"--{name.replace('_', '-')}" for name in names
+             if getattr(args, name) != getattr(default, name)]
+    if given:
+        raise UsageError(f"{', '.join(given)} not read {when}")
+
+
+def _criterion(theta, gamma, flags: str) -> CriterionParams:
+    """The criterion weights from flags, any value CriterionParams rejects as a usage error."""
+    try:
+        return CriterionParams(theta=theta, gamma=gamma)
+    except ModelValidationError as err:
+        raise UsageError(f"{flags}: {err}") from None
 
 
 def _sim_config(args, **options) -> SimConfig:
@@ -233,21 +243,14 @@ def _sim_config(args, **options) -> SimConfig:
 
 def cmd_moments(args) -> int:
     model = load_model(args.model)
+    if not args.check:
+        _reject_unread(args, ("dt", "horizon", "paths", "threads", "seed"), "without --check")
     strategy = _strategy_from_flags(model, args)
     mom = moments(model, strategy)
-    doc = {
-        "growth_rate": mom.growth_rate,
-        "variance_rate": mom.variance_rate,
-        "wealth_factor_cov": mom.wealth_factor_cov.tolist(),
-        "factor_cov": mom.factor_cov.tolist(),
-        "shock_loading": mom.shock_loading.tolist(),
-        "second_moment_offset": mom.second_moment_offset.tolist(),
-        "second_moment_slope": mom.second_moment_slope.tolist(),
-        "strategy": {"h": strategy.h.tolist(), "H": strategy.H.tolist()},
-    }
-    for key in ("growth_rate", "variance_rate", "wealth_factor_cov", "factor_cov",
-                "shock_loading", "second_moment_offset", "second_moment_slope"):
-        print(f"{key} {json.dumps(doc[key])}")
+    doc = _record(mom)
+    for key, value in doc.items():
+        print(f"{key} {json.dumps(value)}")
+    doc["strategy"] = _record(strategy)
 
     if args.check:
         cfg = _sim_config(args)
@@ -269,8 +272,8 @@ def cmd_moments(args) -> int:
             name: {"closed_form": c, "monte_carlo": est, "se": se, "z": z}
             for name, (c, est, se, z) in checks.items()
         }
-        doc["check_config"] = {"dt": args.dt, "horizon": args.horizon,
-                               "paths": args.paths, "seed": args.seed}
+        doc["check_config"] = _record(
+            cfg, skip=("factor_scheme", "antithetic", "stationary_start", "keep_paths"))
         for name, (c, est, se, z) in checks.items():
             print(f"check {name}: closed={_fmt(c)} mc={_fmt(est)} se={_fmt(se)} z={_fmt(z)}")
 
@@ -279,26 +282,15 @@ def cmd_moments(args) -> int:
     return 0
 
 
-def _sweep_csv_strategy(res, params, m: int, n: int):
-    scalar = m == 1 and n == 1
-    lines = []
-    if scalar:
-        lines.append("parameter,h,H,W,ratio")
-        ratio = res.ratio()
-        for i, p in enumerate(params):
-            lines.append(",".join([
-                _fmt(p), _fmt(res.h_star[i, 0]), _fmt(res.H_star[i, 0, 0]),
-                _fmt(res.values[i]), _fmt(ratio[i]),
-            ]))
-    else:
-        header = (["parameter"] + [f"h_{i + 1}" for i in range(m)]
-                  + [f"H_{i + 1}_{j + 1}" for i in range(m) for j in range(n)] + ["W"])
-        lines.append(",".join(header))
-        for i, p in enumerate(params):
-            row = [_fmt(p)] + [_fmt(v) for v in res.h_star[i]] \
-                + [_fmt(v) for v in res.H_star[i].ravel()] + [_fmt(res.values[i])]
-            lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+def _strategy_csv(res) -> str:
+    """One row per sweep point: the parameter, h*, H* (row-major) and W."""
+    k, m, n = res.H_star.shape
+    columns = [res.parameter_values, *res.h_star.T, *res.H_star.reshape(k, m * n).T, res.values]
+    if m == 1 and n == 1:
+        return _csv(["parameter", "h", "H", "W", "ratio"], columns + [res.ratio()])
+    header = (["parameter"] + [f"h_{i + 1}" for i in range(m)]
+              + [f"H_{i + 1}_{j + 1}" for i in range(m) for j in range(n)] + ["W"])
+    return _csv(header, columns)
 
 
 def cmd_sweep(args) -> int:
@@ -318,8 +310,7 @@ def cmd_sweep(args) -> int:
         h = _parse_vector(args.h, 1, "--h")
         mom = moments(model, (np.tile(h, (len(grid), 1)), grid.reshape(-1, 1, 1)))
         svg_series = (mom.growth_rate, mom.wealth_factor_cov[:, 0], mom.variance_rate)
-        rows = ["H,K,P,varRate"] + [",".join(_fmt(x) for x in t) for t in zip(grid, *svg_series)]
-        csv_text = "\n".join(rows) + "\n"
+        csv_text = _csv(["H", "K", "P", "varRate"], (grid, *svg_series))
         svg_text = line_plot(grid, svg_series,
                              labels=("K", "P", "varRate"), title="moments vs H",
                              xlabel="H", ylabel="value")
@@ -327,13 +318,17 @@ def cmd_sweep(args) -> int:
         if args.mode == "theta":
             grid = _parse_grid(args.range or "0.25:64:13", args.log or args.range is None, "--range")
             gamma = _parse_vector(args.gamma, model.n, "--gamma")
+            for theta in grid:
+                _criterion(theta, gamma, "--range/--gamma")
             res = sweep_theta(model, grid, gamma=gamma, config=config)
             xlabel = "theta"
         else:
             grid = _parse_grid(args.range or "0:0.01:11", args.log, "--range")
+            for gamma in grid:
+                _criterion(args.theta, gamma, "--theta/--range")
             res = sweep_gamma(model, args.theta, grid, config=config)
             xlabel = "gamma"
-        csv_text = _sweep_csv_strategy(res, grid, model.m, model.n)
+        csv_text = _strategy_csv(res)
         for i in np.nonzero(res.failed)[0]:
             warn_rows.append(f"sweep point {xlabel}={_fmt(grid[i])}: {res.messages[i]}")
         for i in np.nonzero(~res.failed & ~res.stationary)[0]:
@@ -361,6 +356,8 @@ def cmd_sweep(args) -> int:
 def cmd_simulate(args) -> int:
     model = load_model(args.model)
     if args.discrete is not None:
+        _reject_unread(args, ("h", "H", "dt", "horizon", "paths", "threads", "scheme",
+                              "antithetic", "zero_start", "dump_paths"), "with --discrete")
         if args.discrete < 24:
             raise UsageError("--discrete needs at least 24 months")
         if args.out is None:
@@ -378,31 +375,20 @@ def cmd_simulate(args) -> int:
                       stationary_start=not args.zero_start, keep_paths=args.dump_paths)
     stats = simulate(model, strategy, cfg, threads=args.threads)
     doc = {
-        "config": {
-            "dt": cfg.dt, "horizon": cfg.horizon, "paths": cfg.paths, "seed": cfg.seed,
-            "factor_scheme": cfg.factor_scheme, "antithetic": cfg.antithetic,
-            "stationary_start": cfg.stationary_start,
-        },
+        "config": _record(cfg, skip=("keep_paths",)),
         "effective_horizon": stats.horizon,
-        "mean_u": stats.mean_u, "mean_u_se": stats.mean_u_se,
-        "var_u": stats.var_u, "var_u_se": stats.var_u_se,
-        "cov_ux": stats.cov_ux.tolist(), "cov_ux_se": stats.cov_ux_se.tolist(),
-        "mean_uxx": stats.mean_uxx.tolist(), "mean_uxx_se": stats.mean_uxx_se.tolist(),
-        "strategy": {"h": strategy.h.tolist(), "H": strategy.H.tolist()},
+        **_record(stats, skip=("horizon", "dt", "paths", "final_u", "final_x")),
+        "strategy": _record(strategy),
     }
     text = _json_text(doc)
     print(text, end="")
     if args.out:
         files = {"stats.json": text}
         if args.dump_paths:
-            buf = io.StringIO()
-            buf.write("path,T,u," + ",".join(f"x_{j + 1}" for j in range(model.n)) + "\n")
-            for i in range(stats.paths):
-                buf.write(",".join(
-                    [str(i), _fmt(stats.horizon), _fmt(stats.final_u[i])]
-                    + [_fmt(v) for v in stats.final_x[i]]
-                ) + "\n")
-            files["paths.csv"] = buf.getvalue()
+            lines = ["path,T,u," + ",".join(f"x_{j + 1}" for j in range(model.n))]
+            lines += [",".join([str(i), _fmt(stats.horizon), _fmt(u), *map(_fmt, x)])
+                      for i, (u, x) in enumerate(zip(stats.final_u, stats.final_x))]
+            files["paths.csv"] = "\n".join(lines) + "\n"
         _emit(args, "simulate", files, [args.model])
     return 0
 
@@ -410,7 +396,7 @@ def cmd_simulate(args) -> int:
 def cmd_optimize(args) -> int:
     model = load_model(args.model)
     gamma = _parse_vector(args.gamma, model.n, "--gamma")
-    params = CriterionParams(theta=args.theta, gamma=gamma)
+    params = _criterion(args.theta, gamma, "--theta/--gamma")
     try:
         lo, hi = (float(v) for v in args.grid_bounds.split(":"))
     except ValueError:
@@ -423,17 +409,8 @@ def cmd_optimize(args) -> int:
     except ValueError as err:
         raise UsageError(str(err)) from None
     res = optimize(model, params, config)
-    doc = {
-        "theta": args.theta,
-        "gamma": gamma.tolist(),
-        "h": res.strategy.h.tolist(),
-        "H": res.strategy.H.tolist(),
-        "value": res.value,
-        "stationary": res.stationary,
-        "gradient_norm": res.gradient_norm,
-        "evaluations": res.evaluations,
-        "message": res.message,
-    }
+    doc = {**_record(params), **_record(res.strategy),
+           **_record(res, skip=("strategy", "restarts"))}
     text = _json_text(doc)
     print(text, end="")
     if args.out:
@@ -441,11 +418,18 @@ def cmd_optimize(args) -> int:
     return 0
 
 
-def _add_common(sub, threads=False):
+def _add_common(sub, oracle=False):
     sub.add_argument("--model", required=True, help="model JSON path")
     sub.add_argument("--out", help="output directory (writes files + manifest.json)")
     sub.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    if threads:
+    if oracle:
+        sub.add_argument("--h", default="1", help="constant holdings, comma-separated (default 1)")
+        sub.add_argument("--H", default="0", help="factor loadings, rows ';'-separated (default 0)")
+        sub.add_argument("--dt", type=float, default=0.1,
+                         help="Monte Carlo step in months (default 0.1)")
+        sub.add_argument("--horizon", type=float, default=10000.0,
+                         help="Monte Carlo horizon in months (default 1e4)")
+        sub.add_argument("--paths", type=int, default=10000, help="Monte Carlo paths (default 1e4)")
         sub.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
 
 
@@ -468,14 +452,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_calibrate, out=".")
 
     p = subs.add_parser("moments", help="closed-form long-run moments for one strategy")
-    p.add_argument("--h", default="1", help="constant holdings, comma-separated (default 1)")
-    p.add_argument("--H", default="0", help="factor loadings, rows ';'-separated (default 0)")
     p.add_argument("--check", action="store_true",
                    help="also run the Monte Carlo oracle and print z-scores")
-    p.add_argument("--dt", type=float, default=0.1, help="oracle step (default 0.1)")
-    p.add_argument("--horizon", type=float, default=10000.0, help="oracle horizon (default 1e4)")
-    p.add_argument("--paths", type=int, default=10000, help="oracle paths (default 1e4)")
-    _add_common(p, threads=True)
+    _add_common(p, oracle=True)
     p.set_defaults(func=cmd_moments)
 
     p = subs.add_parser("sweep", help="sweep a strategy coefficient or criterion parameter")
@@ -493,11 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep, out=".")
 
     p = subs.add_parser("simulate", help="run the Monte Carlo oracle or emit a monthly series")
-    p.add_argument("--h", default="1", help="constant holdings (default 1)")
-    p.add_argument("--H", default="0", help="factor loadings (default 0)")
-    p.add_argument("--dt", type=float, default=0.1, help="time step in months (default 0.1)")
-    p.add_argument("--horizon", type=float, default=10000.0, help="total months (default 1e4)")
-    p.add_argument("--paths", type=int, default=10000, help="path count (default 1e4)")
     p.add_argument("--scheme", choices=("exact", "euler"), default="exact",
                    help="factor transition scheme (default exact)")
     p.add_argument("--antithetic", action="store_true", help="pair sign-flipped paths")
@@ -506,8 +480,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump-paths", action="store_true",
                    help="write per-path terminal values to paths.csv (needs --out)")
     p.add_argument("--discrete", type=int, metavar="MONTHS",
-                   help="emit a monthly synthetic series (series.csv) instead of path stats")
-    _add_common(p, threads=True)
+                   help="emit a monthly synthetic series (series.csv) instead of path stats; "
+                        "reads only --seed and --out")
+    _add_common(p, oracle=True)
     p.set_defaults(func=cmd_simulate)
 
     p = subs.add_parser("optimize", help="maximize the criterion over strategies")
@@ -540,10 +515,7 @@ def main(argv=None) -> int:
             SimulationError, UnboundedCriterionError) as err:
         print(f"longrun: numeric failure: {err}", file=sys.stderr)
         return 3
-    except (CalibrationDataError, ModelValidationError) as err:
-        print(f"longrun: input error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (CalibrationDataError, ModelValidationError, OSError) as err:
         print(f"longrun: input error: {err}", file=sys.stderr)
         return 2
 

@@ -386,14 +386,12 @@ def sweep_theta(model: FactorModel, theta_values, gamma=None,
 
 
 def sweep_gamma(model: FactorModel, theta: float, gamma_values,
-                config: OptimizerConfig | None = None, direction=None) -> SweepResult:
-    """Optimize along a list of factor-sensitivity magnitudes at fixed theta.
+                config: OptimizerConfig | None = None) -> SweepResult:
+    """Optimize along a list of factor-sensitivity values at fixed theta.
 
-    Each scalar in ``gamma_values`` scales ``direction`` (default: the first
-    coordinate axis, which for one factor is just the scalar itself).
+    Each scalar in ``gamma_values`` is the sensitivity to the first factor;
+    the others get zero weight (for one factor, gamma is just the scalar).
     """
-    e = np.eye(model.n)[0] if direction is None else np.asarray(direction, dtype=float)
-    if e.shape != (model.n,):
-        raise ValueError(f"direction must have shape ({model.n},), got {e.shape}")
+    e = np.eye(model.n)[0]
     return _sweep(model, gamma_values, lambda g: CriterionParams(theta=float(theta), gamma=g * e),
                   config, "gamma_values")

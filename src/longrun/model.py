@@ -318,14 +318,15 @@ def model_from_dict(doc: dict) -> FactorModel:
 
 
 def save_model(model: FactorModel, path) -> None:
-    """Write the model as schema-v1 JSON (full double precision)."""
-    Path(path).write_text(json.dumps(model_to_dict(model), indent=2) + "\n")
+    """Write schema-v1 JSON (full precision, sorted keys, UTF-8), as ``longrun calibrate`` does."""
+    text = json.dumps(model_to_dict(model), indent=2, sort_keys=True) + "\n"
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def load_model(path) -> FactorModel:
     """Read and validate a schema-v1 model JSON file."""
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ModelValidationError([f"invalid JSON in {path}: {exc}"]) from exc
     return model_from_dict(doc)

@@ -21,8 +21,9 @@ covariance D.  Two independent code paths compute them:
   k strategies, ``h`` of shape (k, m) and ``H`` of shape (k, m, n), is
   evaluated at once: its k offsets are one multi-right-hand-side solve with
   the factored operator, each passing the residual check of
-  :func:`~longrun.linalg.solve_lyapunov`.  :func:`growth_rate`,
-  :func:`variance_rate` and :func:`covariance_limit` are views of it.
+  :func:`~longrun.linalg.solve_lyapunov`.  :func:`growth_rate` and
+  :func:`variance_rate` are views of it; ``wealth_factor_cov`` is read off
+  its result.
 * :func:`scalar_moments`: explicit scalar algebra for the one-asset,
   one-factor case with the diffusion convention Sigma = (sig, eta),
   Lambda = (0, lam).  It shares no linear-algebra code with the matrix
@@ -46,7 +47,6 @@ __all__ = [
     "AsymptoticMoments",
     "stationary_covariance",
     "growth_rate",
-    "covariance_limit",
     "variance_rate",
     "moments",
     "scalar_moments",
@@ -183,11 +183,6 @@ def growth_rate(model: FactorModel, strategy):
     where SS' is the return diffusion covariance.
     """
     return moments(model, strategy).growth_rate
-
-
-def covariance_limit(model: FactorModel, strategy) -> np.ndarray:
-    """Long-run covariance of log wealth with the factors, shape (n,); a view of :func:`moments`."""
-    return moments(model, strategy).wealth_factor_cov
 
 
 def variance_rate(model: FactorModel, strategy):

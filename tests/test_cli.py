@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -303,7 +304,58 @@ def test_unread_flags_rejected_exit_1(argv, tmp_path, monkeypatch):
     ["moments", "--check", "--paths", "1"],
     ["moments", "--check", "--threads", "0", "--horizon", "1", "--paths", "4"],
     ["sweep", "--mode", "theta", "--range", ","],
+    ["optimize", "--theta", "-1"],
+    ["optimize", "--theta", "nan"],
+    ["sweep", "--mode", "gamma", "--theta", "-1"],
+    ["sweep", "--mode", "theta", "--range=-1,1"],
+    ["simulate", "--discrete", "30", "--paths", "1", "--dt", "0", "--threads", "0"],
+    ["simulate", "--discrete", "30", "--h", "2"],
+    ["moments", "--paths", "1", "--dt", "0", "--threads", "0"],
+    ["moments", "--pa", "5"],
+    ["moments", "--seed", "3"],
 ])
 def test_rejected_flag_values_exit_1(argv, model_file, tmp_path, capsys):
     assert main(argv + ["--model", model_file, "--out", str(tmp_path / "o")]) == 1
     assert "longrun: error:" in capsys.readouterr().err
+
+
+def test_document_schemas(model_file, tmp_path, capsys):
+    """Key sets and column headers of the CLI documents, as first released."""
+    wide = tmp_path / "wide.json"
+    save_model(random_stable_model(np.random.default_rng(5), 1, 2), wide)
+    moment_keys = ["growth_rate", "variance_rate", "wealth_factor_cov", "factor_cov",
+                   "shock_loading", "second_moment_offset", "second_moment_slope"]
+
+    assert main(["moments", "--model", model_file, "--out", str(tmp_path / "mom")]) == 0
+    printed = [line.split(" ", 1)[0] for line in capsys.readouterr().out.splitlines()]
+    assert printed == moment_keys
+    doc = json.loads((tmp_path / "mom" / "moments.json").read_text())
+    assert set(doc) == {*moment_keys, "strategy"}
+    assert set(doc["strategy"]) == {"h", "H"}
+
+    assert main(["simulate", "--model", str(wide), "--dt", "0.5", "--horizon", "5",
+                 "--paths", "4", "--dump-paths", "--out", str(tmp_path / "sim")]) == 0
+    doc = json.loads((tmp_path / "sim" / "stats.json").read_text())
+    assert set(doc) == {"config", "effective_horizon", "mean_u", "mean_u_se", "var_u",
+                        "var_u_se", "cov_ux", "cov_ux_se", "mean_uxx", "mean_uxx_se",
+                        "strategy"}
+    assert set(doc["config"]) == {"dt", "horizon", "paths", "seed", "factor_scheme",
+                                  "antithetic", "stationary_start"}
+    header = (tmp_path / "sim" / "paths.csv").read_text().splitlines()[0]
+    assert header == "path,T,u,x_1,x_2"
+
+    assert main(["optimize", "--model", model_file, "--grid-points", "11",
+                 "--out", str(tmp_path / "opt")]) == 0
+    doc = json.loads((tmp_path / "opt" / "optimum.json").read_text())
+    assert set(doc) == {"theta", "gamma", "h", "H", "value", "stationary", "gradient_norm",
+                        "evaluations", "message"}
+
+    report = json.loads((Path(model_file).parent / "report.json").read_text())
+    assert set(report["discrete"]) == {"nobs", "factor_means", "return_const", "return_slope",
+                                       "return_tstats", "factor_const", "persistence",
+                                       "factor_tstats", "innovation_cov"}
+
+    assert main(["sweep", "--model", str(wide), "--mode", "theta", "--range", "1",
+                 "--out", str(tmp_path / "sw")]) == 0
+    header = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()[0]
+    assert header == "parameter,h_1,H_1_1,H_1_2,W"

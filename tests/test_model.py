@@ -16,6 +16,7 @@ from longrun import (
     save_model,
     validate_model,
 )
+from longrun.cli import main
 
 
 def test_reference_model_constants(model):
@@ -124,6 +125,11 @@ def test_json_file_roundtrip(tmp_path, model):
                           Sigma=model.Sigma, Lambda=model.Lambda)
     save_model(awkward, path)
     assert load_model(path).a[0] == awkward.a[0]
+    # one byte format: save_model rewrites the calibrated model.json exactly
+    cal = tmp_path / "cal"
+    assert main(["calibrate", "--from-tables", "--out", str(cal)]) == 0
+    save_model(load_model(cal / "model.json"), path)
+    assert path.read_bytes() == (cal / "model.json").read_bytes()
 
 
 def test_from_dict_rejects_bad_documents(model):
