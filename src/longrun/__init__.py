@@ -22,7 +22,6 @@ from .calibration import (
     report_from_estimates,
     timeseries_to_csv,
     to_continuous,
-    write_timeseries_csv,
 )
 from .criterion import (
     OptimizationResult,
@@ -41,7 +40,6 @@ from .linalg import (
     StabilityReport,
     check_stability,
     solve_lyapunov,
-    solve_lyapunov_const,
 )
 from .mc import (
     AsymptoticEstimates,
@@ -66,11 +64,9 @@ from .model import (
 )
 from .moments import (
     AsymptoticMoments,
-    growth_rate,
     moments,
     scalar_moments,
     stationary_covariance,
-    variance_rate,
 )
 
 __version__ = "0.1.0"
@@ -83,10 +79,10 @@ __all__ = [
     "model_to_dict", "model_from_dict", "save_model", "load_model",
     # linear algebra
     "DimensionError", "NumericError", "StabilityError", "StabilityReport",
-    "check_stability", "solve_lyapunov", "solve_lyapunov_const",
+    "check_stability", "solve_lyapunov",
     # closed-form moments
-    "AsymptoticMoments", "stationary_covariance", "growth_rate",
-    "variance_rate", "moments", "scalar_moments",
+    "AsymptoticMoments", "stationary_covariance",
+    "moments", "scalar_moments",
     # criterion and optimizer
     "OptimizerConfig", "OptimizationResult", "SweepResult",
     "UnboundedCriterionError", "evaluate", "optimize",
@@ -98,6 +94,6 @@ __all__ = [
     "TimeSeriesData", "DiscreteEstimates", "CalibrationReport",
     "CalibrationDataError", "CalibrationNumericError",
     "estimate_discrete", "to_continuous", "calibrate", "reference_estimates",
-    "report_from_estimates", "read_timeseries_csv", "write_timeseries_csv",
+    "report_from_estimates", "read_timeseries_csv",
     "timeseries_to_csv",
 ]

@@ -44,7 +44,6 @@ __all__ = [
     "report_from_estimates",
     "reference_estimates",
     "read_timeseries_csv",
-    "write_timeseries_csv",
     "timeseries_to_csv",
 ]
 
@@ -449,8 +448,3 @@ def timeseries_to_csv(data: TimeSeriesData) -> str:
             + [repr(float(v)) for v in data.factor_levels[t]]
         )
     return buf.getvalue()
-
-
-def write_timeseries_csv(path, data: TimeSeriesData) -> None:
-    """Write TimeSeriesData in the canonical CSV layout."""
-    Path(path).write_text(timeseries_to_csv(data), encoding="utf-8")

@@ -13,10 +13,10 @@ reproduces every output byte for byte.
 Exit codes: 0 success, 1 usage, 2 bad input data, 3 numeric failure.
 ``sweep`` reports per-point optimizer failures as warnings and exits 0
 unless given ``--strict``, a flag only ``sweep`` takes.  A flag the run
-would not read (a Monte Carlo flag on ``moments`` without ``--check``, or on
-``simulate --discrete``) is a usage error.  Each JSON document carries the
-fields of its result record (:func:`_record`), and all numbers are printed
-in shortest round-trip form.
+would not read (a Monte Carlo flag on ``moments`` without ``--check`` or on
+``simulate --discrete``, another mode's flag on ``sweep``) is a usage error.
+Each JSON document carries the fields of its result record
+(:func:`_record`), and all numbers are printed in shortest round-trip form.
 """
 
 from __future__ import annotations
@@ -212,7 +212,8 @@ def _reject_unread(args, names, when: str) -> None:
 
     (argv is not searched: it may hold an abbreviation such as ``--pa``.)
     """
-    default = build_parser().parse_args([args.command, f"--model={args.model}"])
+    required = [f"--{k}={getattr(args, k)}" for k in ("model", "mode") if hasattr(args, k)]
+    default = build_parser().parse_args([args.command, *required])
     given = [f"--{name.replace('_', '-')}" for name in names
              if getattr(args, name) != getattr(default, name)]
     if given:
@@ -297,6 +298,8 @@ def cmd_sweep(args) -> int:
     from .svg import line_plot
 
     model = load_model(args.model)
+    unread = {"H": ("theta", "gamma"), "theta": ("h", "theta"), "gamma": ("h", "gamma")}
+    _reject_unread(args, unread[args.mode], f"in sweep mode {args.mode}")
     config = OptimizerConfig(seed=args.seed)
     warn_rows = []
 

@@ -57,7 +57,7 @@ __all__ = [
 ]
 
 # Full-mesh grids above this dimension would explode combinatorially; switch
-# to a seeded Latin hypercube of the same total budget.
+# to a seeded Latin hypercube of _SCAN_BUDGET points.
 _FULL_GRID_MAX_DIM = 2
 _SCAN_BUDGET = 4096
 _STATIONARITY_STEP = 1e-5
@@ -81,7 +81,7 @@ class OptimizerConfig:
 
     ``grid_bounds`` and ``grid_points`` apply to every entry of H (h is solved
     for).  ``local_restarts`` distinct grid cells seed Nelder-Mead runs.
-    ``seed`` only matters when m*n > 4, where the scan is a Latin hypercube.
+    ``seed`` only matters when m*n > 2, where the scan is a Latin hypercube.
     """
 
     grid_bounds: tuple = (-3.0, 3.0)
@@ -181,21 +181,17 @@ def _split(x: np.ndarray, m: int, n: int) -> Strategy:
 def _scan_points(config: OptimizerConfig, dim: int) -> np.ndarray:
     """Deterministic global scan: full mesh when affordable, LHS otherwise."""
     lo, hi = config.grid_bounds
-    if dim <= _FULL_GRID_MAX_DIM:
-        per = config.grid_points
-    elif dim <= 4:
-        per = max(2, int(round(_SCAN_BUDGET ** (1.0 / dim))))
-    else:
+    if dim > _FULL_GRID_MAX_DIM:
         rng = np.random.Generator(np.random.Philox(key=np.array([config.seed, 0x5CA1], dtype=np.uint64)))
         u = (rng.permuted(np.tile(np.arange(_SCAN_BUDGET, dtype=float)[:, None], (1, dim)), axis=0)
              + rng.random((_SCAN_BUDGET, dim))) / _SCAN_BUDGET
         return lo + (hi - lo) * u
-    axes = [np.linspace(lo, hi, per)] * dim
+    axes = [np.linspace(lo, hi, config.grid_points)] * dim
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in mesh], axis=1)
 
 
-def _h_solver(model: FactorModel, params: CriterionParams, dlt: np.ndarray):
+def _h_solver(model: FactorModel, params: CriterionParams):
     """Raise if W has no maximum; else return ``H -> h*(H)``, H of shape (m, n) or (k, m, n).
 
     h* solves (SS' + (theta/2) G'G) h = a - (theta/2) G'y0 + (SS'H D - A D - Sigma Lambda') w
@@ -206,6 +202,7 @@ def _h_solver(model: FactorModel, params: CriterionParams, dlt: np.ndarray):
     _check_gamma(model, params)
     a, A, Sg = model.a, model.A, model.Sigma
     SS = model.prepared.SS
+    dlt = model.prepared.D
     K = np.linalg.solve(model.B, model.Lambda).T        # Lambda' B^-T
     w = np.linalg.solve(model.B.T, params.gamma)
     dw = dlt @ w
@@ -278,7 +275,7 @@ def optimize(model: FactorModel, params: CriterionParams,
             "rate alone; the optimum ignores risk entirely",
             stacklevel=2,
         )
-    h_star = _h_solver(model, params, model.prepared.D)
+    h_star = _h_solver(model, params)
     evaluations = 0
 
     def score(X):

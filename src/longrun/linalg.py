@@ -22,7 +22,6 @@ __all__ = [
     "StabilityReport",
     "check_stability",
     "solve_lyapunov",
-    "solve_lyapunov_const",
     "psd_sqrt",
 ]
 
@@ -108,25 +107,14 @@ def check_stability(B) -> StabilityReport:
     )
 
 
-def require_stable(B) -> np.ndarray:
-    """Return ``B`` as a float array, raising StabilityError if not Hurwitz."""
-    B = _as_square(B, "B")
-    report = check_stability(B)
-    if not report.is_stable:
-        raise StabilityError(
-            f"matrix is not stable: max eigenvalue real part {report.margin:.3e}"
-        )
-    return B
-
-
-def solve_lyapunov(B, Q, rtol: float = LYAPUNOV_RTOL) -> np.ndarray:
+def solve_lyapunov(B, Q) -> np.ndarray:
     """Solve ``B S + S B' = Q`` for S, with B Hurwitz-stable.
 
     Solves the n^2 x n^2 Kronecker system of :func:`lyapunov_operator`
     (:func:`solve_lyapunov_stack` with k = 1).  The residual is checked
-    against ``rtol * (||B||_F ||S||_F + ||Q||_F)``, and a symmetric ``Q``
-    yields an exactly symmetric ``S`` (the solution is symmetrized, which is
-    a no-op in exact arithmetic).
+    against ``LYAPUNOV_RTOL * (||B||_F ||S||_F + ||Q||_F)``, and a symmetric
+    ``Q`` yields an exactly symmetric ``S`` (the solution is symmetrized,
+    which is a no-op in exact arithmetic).
 
     Raises
     ------
@@ -137,7 +125,12 @@ def solve_lyapunov(B, Q, rtol: float = LYAPUNOV_RTOL) -> np.ndarray:
     NumericError
         Solve failed or residual above contract.
     """
-    B = require_stable(B)
+    B = _as_square(B, "B")
+    report = check_stability(B)
+    if not report.is_stable:
+        raise StabilityError(
+            f"matrix is not stable: max eigenvalue real part {report.margin:.3e}"
+        )
     Q = np.asarray(Q, dtype=float)
     if Q.shape != B.shape:
         raise DimensionError(
@@ -146,7 +139,7 @@ def solve_lyapunov(B, Q, rtol: float = LYAPUNOV_RTOL) -> np.ndarray:
     if not np.all(np.isfinite(Q)):
         raise NumericError("Q contains non-finite entries")
 
-    S = solve_lyapunov_stack(B, lyapunov_operator(B), Q[None], rtol)[0]
+    S = solve_lyapunov_stack(B, lyapunov_operator(B), Q[None])[0]
 
     qnorm = np.linalg.norm(Q)
     if np.linalg.norm(Q - Q.T) <= 1e-12 * max(qnorm, 1.0):
@@ -154,12 +147,14 @@ def solve_lyapunov(B, Q, rtol: float = LYAPUNOV_RTOL) -> np.ndarray:
     return S
 
 
-def check_lyapunov_residual(B: np.ndarray, S: np.ndarray, Q: np.ndarray, rtol: float) -> None:
+def check_lyapunov_residual(B: np.ndarray, S: np.ndarray, Q: np.ndarray) -> None:
     """Raise NumericError unless ``B S + S B' = Q`` to ``rtol * (||B|| ||S|| + ||Q||)``.
 
-    ``S`` and ``Q`` may be stacks of shape (k, n, n); every slice is checked
-    against its own scale.
+    ``rtol`` is ``LYAPUNOV_RTOL`` as it is at call time.  ``S`` and ``Q`` may
+    be stacks of shape (k, n, n); every slice is checked against its own
+    scale.
     """
+    rtol = LYAPUNOV_RTOL
     scale = np.atleast_1d(np.linalg.norm(B) * np.linalg.norm(S, axis=(-2, -1))
                           + np.linalg.norm(Q, axis=(-2, -1)))
     residual = np.atleast_1d(np.linalg.norm(B @ S + S @ B.T - Q, axis=(-2, -1)))
@@ -182,13 +177,11 @@ def lyapunov_operator(B: np.ndarray):
     return scipy.linalg.lu_factor(np.kron(eye, B) + np.kron(B, eye), check_finite=False)
 
 
-def solve_lyapunov_stack(B: np.ndarray, lu, Q: np.ndarray,
-                         rtol: float | None = None) -> np.ndarray:
+def solve_lyapunov_stack(B: np.ndarray, lu, Q: np.ndarray) -> np.ndarray:
     """Solve ``B S_i + S_i B' = Q_i`` for a stack Q of shape (k, n, n) in one solve.
 
     ``lu`` is :func:`lyapunov_operator` of the stable ``B``.  Every slice
-    passes the residual check of :func:`solve_lyapunov` at ``rtol``
-    (default: ``LYAPUNOV_RTOL`` as it is at call time); the result is not
+    passes the residual check of :func:`solve_lyapunov`; the result is not
     symmetrized.
     """
     k, n = Q.shape[0], B.shape[0]
@@ -196,31 +189,21 @@ def solve_lyapunov_stack(B: np.ndarray, lu, Q: np.ndarray,
     if info != 0:  # pragma: no cover - only for malformed arguments
         raise NumericError(f"Lyapunov solve failed: getrs info {info}")
     S = x.T.reshape(k, n, n)
-    check_lyapunov_residual(B, S, Q, LYAPUNOV_RTOL if rtol is None else rtol)
+    check_lyapunov_residual(B, S, Q)
     return S
 
 
-def solve_lyapunov_const(B, C, rtol: float = LYAPUNOV_RTOL) -> np.ndarray:
-    """Solve ``B X + X B' + C = 0`` for X, with B Hurwitz-stable.
-
-    For C = L L' this is the stationary covariance of the linear SDE
-    dX = B X dt + L dW, which is symmetric positive semidefinite.
-    """
-    C = np.asarray(C, dtype=float)
-    return solve_lyapunov(B, -C, rtol=rtol)
-
-
-def psd_sqrt(M, rtol: float = 1e-10) -> np.ndarray:
+def psd_sqrt(M) -> np.ndarray:
     """Symmetric square root of a positive semidefinite matrix.
 
-    Eigenvalues inside -rtol * max(eig, 1) of zero are clipped to zero;
+    Eigenvalues inside -1e-10 * max(eig, 1) of zero are clipped to zero;
     anything more negative raises :class:`NumericError`, since it means the
     input was not a covariance to numerical precision.
     """
     M = np.asarray(M, dtype=float)
     sym = 0.5 * (M + M.T)
     w, V = np.linalg.eigh(sym)
-    floor = -rtol * max(float(w[-1]), 1.0)
+    floor = -1e-10 * max(float(w[-1]), 1.0)
     if w[0] < floor:
         raise NumericError(f"matrix is not positive semidefinite (eigenvalue {w[0]:.3e})")
     return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T

@@ -21,9 +21,8 @@ covariance D.  Two independent code paths compute them:
   k strategies, ``h`` of shape (k, m) and ``H`` of shape (k, m, n), is
   evaluated at once: its k offsets are one multi-right-hand-side solve with
   the factored operator, each passing the residual check of
-  :func:`~longrun.linalg.solve_lyapunov`.  :func:`growth_rate` and
-  :func:`variance_rate` are views of it; ``wealth_factor_cov`` is read off
-  its result.
+  :func:`~longrun.linalg.solve_lyapunov`.  Every moment is a field of its
+  result.
 * :func:`scalar_moments`: explicit scalar algebra for the one-asset,
   one-factor case with the diffusion convention Sigma = (sig, eta),
   Lambda = (0, lam).  It shares no linear-algebra code with the matrix
@@ -46,8 +45,6 @@ from .model import FactorModel, ModelValidationError, Strategy
 __all__ = [
     "AsymptoticMoments",
     "stationary_covariance",
-    "growth_rate",
-    "variance_rate",
     "moments",
     "scalar_moments",
 ]
@@ -174,24 +171,6 @@ def moments(model: FactorModel, strategy) -> AsymptoticMoments:
         second_moment_offset=mom.second_moment_offset[0],
         second_moment_slope=mom.second_moment_slope[0],
     )
-
-
-def growth_rate(model: FactorModel, strategy):
-    """Expected log growth of wealth per unit time (a view of :func:`moments`).
-
-    Equals h'a - h'SS'h/2 plus the trace correction from the factor tilt,
-    where SS' is the return diffusion covariance.
-    """
-    return moments(model, strategy).growth_rate
-
-
-def variance_rate(model: FactorModel, strategy):
-    """Variance of log wealth per unit time, with its ingredients (a view of :func:`moments`).
-
-    Returns ``(rate, shock_loading, second_moment_offset)``.
-    """
-    mom = moments(model, strategy)
-    return mom.variance_rate, mom.shock_loading, mom.second_moment_offset
 
 
 def scalar_moments(model: FactorModel, strategy: Strategy) -> AsymptoticMoments:

@@ -29,9 +29,8 @@ def _fmt(v: float) -> str:
     return "0" if out == "-0" else out
 
 
-def line_plot(x, series, labels=(), title="", xlabel="", ylabel="",
-              width: int = 720, height: int = 480) -> str:
-    """Render one or more y-series against a common x-axis as SVG text.
+def line_plot(x, series, labels=(), title="", xlabel="", ylabel="") -> str:
+    """Render one or more y-series against a common x-axis as a 720 x 480 SVG.
 
     ``series`` is a sequence of arrays the same length as ``x``; non-finite
     points break the polyline rather than being interpolated over.
@@ -50,6 +49,7 @@ def line_plot(x, series, labels=(), title="", xlabel="", ylabel="",
     xt, xlo, xhi = _ticks(float(x.min()), float(x.max()))
     yt, ylo, yhi = _ticks(ylo, yhi)
 
+    width, height = 720, 480
     iw = width - _MARGIN_L - _MARGIN_R
     ih = height - _MARGIN_T - _MARGIN_B
 

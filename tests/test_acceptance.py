@@ -32,10 +32,9 @@ from longrun import (
     sweep_gamma,
     sweep_theta,
     to_continuous,
-    variance_rate,
 )
 from longrun.cli import main
-from longrun.linalg import solve_lyapunov_const
+from longrun.linalg import solve_lyapunov
 from test_linalg import kron_lyapunov
 
 THREADS = 4
@@ -69,7 +68,7 @@ def test_lyapunov_solver_against_dense_oracle():
         model = random_stable_model(rng, 1, n)
         B = model.B
         C = model.Lambda @ model.Lambda.T
-        dlt = solve_lyapunov_const(B, C)
+        dlt = solve_lyapunov(B, -C)
         res = np.linalg.norm(B @ dlt + dlt @ B.T + C)
         scale = np.linalg.norm(B) * np.linalg.norm(dlt) + np.linalg.norm(C)
         assert res <= 1e-10 * max(scale, 1e-300)
@@ -118,7 +117,7 @@ def test_calibration_round_trip_within_five_percent():
 def test_variance_rate_interior_minimum():
     model = reference_model()
     grid = np.linspace(-3.0, 3.0, 121)
-    rates = [variance_rate(model, scalar_strategy(1.0, H))[0] for H in grid]
+    rates = [moments(model, scalar_strategy(1.0, H)).variance_rate for H in grid]
     k = int(np.argmin(rates))
     assert 0 < k < len(grid) - 1
     assert abs(grid[k]) > 0.01

@@ -15,7 +15,6 @@ from longrun import (
     simulate_discrete,
     timeseries_to_csv,
     to_continuous,
-    write_timeseries_csv,
 )
 
 
@@ -290,7 +289,7 @@ def test_five_digit_years_accepted():
 def test_csv_round_trip(tmp_path):
     data = synthetic_data(T=48, n=2)
     path = tmp_path / "series.csv"
-    write_timeseries_csv(path, data)
+    path.write_text(timeseries_to_csv(data))
     back = read_timeseries_csv(path)
     assert back.dates == data.dates
     assert np.array_equal(back.excess_returns, data.excess_returns)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from longrun import (
     reference_model,
     save_model,
     simulate_discrete,
-    write_timeseries_csv,
+    timeseries_to_csv,
 )
 from conftest import random_stable_model
 from longrun.cli import main
@@ -48,7 +49,7 @@ def test_calibrate_from_tables(tmp_path, capsys):
 def test_calibrate_csv_input(tmp_path):
     data = simulate_discrete(reference_model(), 600, seed=2)
     csv_path = tmp_path / "input.csv"
-    write_timeseries_csv(csv_path, data)
+    csv_path.write_text(timeseries_to_csv(data))
     out = tmp_path / "cal"
     assert main(["calibrate", str(csv_path), "--out", str(out)]) == 0
     model = load_model(out / "model.json")
@@ -115,6 +116,22 @@ def test_moments_check_runs_mc(model_file, capsys):
     assert "z=" in out
 
 
+def test_moments_multi_row_H(tmp_path, capsys):
+    path = tmp_path / "m22.json"
+    save_model(random_stable_model(np.random.default_rng(3), 2, 2), path)
+    argv = ["moments", "--model", str(path), "--h", "1,1", "--H", "0.1,0.2;0.3,0.4"]
+    assert main(argv + ["--out", str(tmp_path / "mom")]) == 0
+    doc = json.loads((tmp_path / "mom" / "moments.json").read_text())
+    mom = moments(load_model(path), Strategy(h=np.ones(2), H=np.array([[0.1, 0.2], [0.3, 0.4]])))
+    assert doc["strategy"]["H"] == [[0.1, 0.2], [0.3, 0.4]]
+    for field in dataclasses.fields(mom):
+        assert np.array_equal(doc[field.name], getattr(mom, field.name)), field.name
+    capsys.readouterr()
+    for H, message in (("0.1,0.2", "expected 2 row(s)"), ("0.1;0.2,0.3", "row 1 has 1 value(s)")):
+        assert main(argv[:-1] + [H]) == 1
+        assert message in capsys.readouterr().err
+
+
 def test_moments_bad_vector_exit_1(model_file, capsys):
     rc = main(["moments", "--model", model_file, "--h", "1,2"])
     assert rc == 1
@@ -160,6 +177,28 @@ def test_sweep_gamma_csv(model_file, tmp_path):
     lines = (out / "sweep.csv").read_text().strip().splitlines()
     h = [float(row.split(",")[1]) for row in lines[1:]]
     assert h[-1] < h[0]
+
+
+def test_sweep_failed_point_warns_and_strict_exits_3(model_file, tmp_path, capsys):
+    # at theta = 0 the reference model is unbounded for gamma = 0.01 (w'Dw > 1)
+    argv = ["sweep", "--model", model_file, "--mode", "gamma", "--theta", "0",
+            "--range", "0.001,0.01"]
+    assert main(argv + ["--out", str(tmp_path / "lax")]) == 0
+    warnings = capsys.readouterr().err.splitlines()
+    assert len(warnings) == 1
+    assert warnings[0].startswith("warning: sweep point gamma=0.01: ")
+    assert "without bound" in warnings[0]
+    rows = (tmp_path / "lax" / "sweep.csv").read_text().splitlines()
+    assert rows[0] == "parameter,h,H,W,ratio"
+    assert all(np.isfinite(float(v)) for v in rows[1].split(","))
+    assert rows[2] == "0.01,nan,nan,nan,nan"
+
+    assert main(argv + ["--strict", "--out", str(tmp_path / "strict")]) == 3
+    assert capsys.readouterr().err.splitlines() == warnings
+    written = sorted(p.name for p in (tmp_path / "strict").iterdir())
+    assert written == ["manifest.json", "sweep.csv"]
+    assert ((tmp_path / "strict" / "sweep.csv").read_bytes()
+            == (tmp_path / "lax" / "sweep.csv").read_bytes())
 
 
 def test_manifest_replay_is_byte_identical(model_file, tmp_path):
@@ -313,6 +352,9 @@ def test_unread_flags_rejected_exit_1(argv, tmp_path, monkeypatch):
     ["moments", "--paths", "1", "--dt", "0", "--threads", "0"],
     ["moments", "--pa", "5"],
     ["moments", "--seed", "3"],
+    ["sweep", "--mode", "H", "--theta", "-1", "--gamma", "nan"],
+    ["sweep", "--mode", "gamma", "--h", "5", "--gamma", "7", "--range", "0,0.01"],
+    ["sweep", "--mode", "theta", "--h", "5", "--range", "1"],
 ])
 def test_rejected_flag_values_exit_1(argv, model_file, tmp_path, capsys):
     assert main(argv + ["--model", model_file, "--out", str(tmp_path / "o")]) == 1

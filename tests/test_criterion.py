@@ -17,7 +17,7 @@ from longrun import (
     sweep_gamma,
     sweep_theta,
 )
-from longrun.criterion import _h_solver
+from longrun.criterion import _h_solver, _scan_points
 
 QUICK = OptimizerConfig(grid_points=31, local_restarts=3)
 
@@ -305,7 +305,7 @@ def test_h_solver_maximizes_over_h(seed):
     m, n = (1, 1) if seed == 0 else (2, 2)
     model = random_stable_model(rng, m, n)
     prm = CriterionParams(theta=float(rng.uniform(0.2, 3.0)), gamma=rng.normal(scale=0.1, size=n))
-    h_star = _h_solver(model, prm, stationary_covariance(model))
+    h_star = _h_solver(model, prm)
     Hs = rng.uniform(-2.0, 2.0, size=(5, m, n))
     batch = h_star(Hs)
     for H, h in zip(Hs, batch):
@@ -313,3 +313,30 @@ def test_h_solver_maximizes_over_h(seed):
         best = evaluate(model, Strategy(h=h, H=H), prm)
         for dh in rng.normal(scale=0.05, size=(10, m)):
             assert evaluate(model, Strategy(h=h + dh, H=H), prm) < best
+
+
+@pytest.mark.parametrize("dim", [3, 4, 6])
+def test_scan_above_two_dims_is_seeded_latin_hypercube(dim):
+    config = OptimizerConfig(grid_bounds=(-2.0, 1.0))
+    points = _scan_points(config, dim)
+    assert points.shape == (4096, dim)
+    # one point in each of the 4,096 strata of every axis
+    strata = np.floor((points + 2.0) / 3.0 * 4096).astype(int)
+    for column in strata.T:
+        assert np.array_equal(np.sort(column), np.arange(4096))
+    assert np.array_equal(_scan_points(config, dim), points)
+    assert not np.array_equal(_scan_points(OptimizerConfig(grid_bounds=(-2.0, 1.0), seed=1), dim),
+                              points)
+
+
+def test_optimize_on_latin_hypercube_scan():
+    # 3 x 2: the scan over the 6 entries of H is the seeded LHS
+    model = random_stable_model(np.random.default_rng(0), 3, 2)
+    prm = CriterionParams(theta=1.0, gamma=np.zeros(2))
+    config = OptimizerConfig(local_restarts=1)
+    res = optimize(model, prm, config)
+    assert res.stationary and res.message == "converged"
+    again = optimize(model, prm, config)
+    assert again.value == res.value and again.evaluations == res.evaluations
+    other = optimize(model, prm, OptimizerConfig(local_restarts=1, seed=1))
+    assert_allclose(other.value, res.value, rtol=1e-10)

@@ -162,7 +162,7 @@ def test_gamma_length_checked():
     with pytest.raises(DimensionError, match="gamma"):
         optimize(model, wrong)
     with pytest.raises(DimensionError, match="gamma"):
-        _h_solver(model, wrong, stationary_covariance(model))
+        _h_solver(model, wrong)
 
 
 def test_strategy_shape_checked():

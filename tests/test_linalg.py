@@ -10,9 +10,7 @@ from longrun.linalg import (
     StabilityError,
     check_stability,
     psd_sqrt,
-    require_stable,
     solve_lyapunov,
-    solve_lyapunov_const,
 )
 
 
@@ -63,7 +61,7 @@ def test_random_models_residual_and_oracle():
         B = model.B
         C = model.Lambda @ model.Lambda.T
 
-        dlt = solve_lyapunov_const(B, C)
+        dlt = solve_lyapunov(B, -C)
         res = np.linalg.norm(B @ dlt + dlt @ B.T + C)
         scale = np.linalg.norm(B) * np.linalg.norm(dlt) + np.linalg.norm(C)
         assert res <= 1e-10 * max(scale, 1e-300)
@@ -101,7 +99,7 @@ def test_stability_report_fields():
 
 def test_unstable_matrix_rejected():
     with pytest.raises(StabilityError):
-        require_stable(np.array([[0.3]]))
+        solve_lyapunov(np.array([[0.3]]), np.array([[1.0]]))
     with pytest.raises(StabilityError):
         solve_lyapunov(np.array([[1e-13]]), np.array([[1.0]]))
 

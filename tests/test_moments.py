@@ -5,11 +5,9 @@ from numpy.testing import assert_allclose
 from conftest import random_stable_model, scalar_strategy
 from longrun import (
     Strategy,
-    growth_rate,
     moments,
     scalar_moments,
     stationary_covariance,
-    variance_rate,
 )
 
 # Frozen outputs for the bundled model, cross-validated against the
@@ -100,8 +98,9 @@ def test_growth_rate_separates_h_and_H(model):
     rng = np.random.default_rng(11)
     for _ in range(20):
         h, H = rng.normal(size=2)
-        full = growth_rate(model, scalar_strategy(h, H))
-        parts = growth_rate(model, scalar_strategy(h, 0.0)) + growth_rate(model, scalar_strategy(0.0, H))
+        full = moments(model, scalar_strategy(h, H)).growth_rate
+        parts = (moments(model, scalar_strategy(h, 0.0)).growth_rate
+                 + moments(model, scalar_strategy(0.0, H)).growth_rate)
         assert_allclose(full, parts, rtol=1e-12, atol=1e-16)
 
 
@@ -150,7 +149,8 @@ def test_variance_rate_nonnegative_random():
         n = int(rng.integers(1, 4))
         model = random_stable_model(rng, m, n)
         strat = Strategy(h=rng.normal(size=m), H=rng.normal(size=(m, n)))
-        rate, Y, S = variance_rate(model, strat)
+        mom = moments(model, strat)
+        rate, Y, S = mom.variance_rate, mom.shock_loading, mom.second_moment_offset
         assert rate >= -1e-9
         assert np.all(np.isfinite(Y))
         assert_allclose(S, S.T, atol=1e-8 * max(1.0, np.abs(S).max()))
