@@ -12,9 +12,10 @@ reproduces every output byte for byte.
 
 Exit codes: 0 success, 1 usage, 2 bad input data, 3 numeric failure.
 ``sweep`` reports per-point optimizer failures as warnings and exits 0
-unless given ``--strict``, a flag only ``sweep`` takes.  A flag the run
-would not read (a Monte Carlo flag on ``moments`` without ``--check`` or on
-``simulate --discrete``, another mode's flag on ``sweep``) is a usage error.
+unless given ``--strict``, a flag only ``sweep`` takes; every warning prints
+as ``warning: <message>``.  A flag the run would not read (a Monte Carlo
+flag on ``moments`` without ``--check`` or on ``simulate --discrete``,
+another mode's flag on ``sweep``, ``--strict`` in its mode H) exits 1.
 Each JSON document carries the fields of its result record
 (:func:`_record`), and all numbers are printed in shortest round-trip form.
 """
@@ -26,6 +27,7 @@ import dataclasses
 import hashlib
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -298,7 +300,7 @@ def cmd_sweep(args) -> int:
     from .svg import line_plot
 
     model = load_model(args.model)
-    unread = {"H": ("theta", "gamma"), "theta": ("h", "theta"), "gamma": ("h", "gamma")}
+    unread = {"H": ("theta", "gamma", "strict"), "theta": ("h", "theta"), "gamma": ("h", "gamma")}
     _reject_unread(args, unread[args.mode], f"in sweep mode {args.mode}")
     config = OptimizerConfig(seed=args.seed)
     warn_rows = []
@@ -510,7 +512,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     args.raw_argv = list(argv)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():     # library warnings without their source location
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+            return args.func(args)
     except UsageError as err:
         print(f"longrun: error: {err}", file=sys.stderr)
         return 1

@@ -8,12 +8,12 @@ with the theta coefficient exactly theta/4.  W is quartic and nonconvex in
 (h, H) jointly, but for fixed H a concave quadratic in h: the Lyapunov
 offset of the variance rate depends on H only, and the shock loading
 Y = G h + y0 is affine in h.  So the optimizer scans the m*n entries of H
-alone, refines the best cells by Nelder-Mead, and solves for h at each point.
+alone, refines the best cells by BFGS, and solves for h at each point.
 The whole scan (grid_points^(m n) points when m n <= 2, else 4,096)
 is h-solved and scored in one call of the batched moment engine
-(:mod:`longrun.moments`); each Nelder-Mead step scores one point, and the
-stationarity test scores its 2 (m + m n) finite-difference points in one
-call.
+(:mod:`longrun.moments`).  W is a quartic polynomial in (h, H), so a 5-point
+central difference is its exact gradient up to rounding; each BFGS step and
+the stationarity test take theirs from one engine call.
 
 Unboundedness is decided exactly.  With SS' = Sigma Sigma', D the
 stationary factor covariance and w = B^-T gamma:
@@ -60,7 +60,9 @@ __all__ = [
 # to a seeded Latin hypercube of _SCAN_BUDGET points.
 _FULL_GRID_MAX_DIM = 2
 _SCAN_BUDGET = 4096
-_STATIONARITY_STEP = 1e-5
+# The stencil is exact for a quartic at any step (relative to 1 + |x|); a
+# large one keeps the rounding error small.
+_STENCIL_STEP = 1e-3
 _STATIONARITY_NORM = 1e-6
 # Relative cut-offs for a null direction of the h-Hessian and a slope along one.
 _SINGULAR = 1e-12
@@ -80,7 +82,9 @@ class OptimizerConfig:
     """Grid-scan and refinement settings for the search over H.
 
     ``grid_bounds`` and ``grid_points`` apply to every entry of H (h is solved
-    for).  ``local_restarts`` distinct grid cells seed Nelder-Mead runs.
+    for).  ``local_restarts`` distinct grid cells seed BFGS runs of at most
+    ``max_iterations`` iterations.  ``simplex_tolerance`` only sets the
+    relative tolerance within which refined values tie (see :func:`optimize`).
     ``seed`` only matters when m*n > 2, where the scan is a Latin hypercube.
     """
 
@@ -109,12 +113,11 @@ class OptimizerConfig:
 class OptimizationResult:
     """Outcome of one optimize() call.
 
-    ``stationary`` reports the central finite-difference gradient test; a
-    False value flags the point rather than raising.  ``restarts`` holds the
-    (point, value) pair of every local refinement, in start order, followed
-    by the refinement from the incumbent when that one ran.  ``evaluations``
-    counts every strategy scored: scan points, Nelder-Mead steps and the
-    stationarity test.
+    ``stationary`` reports the gradient test over all of (h, H); a False
+    value flags the point rather than raising.  ``restarts`` holds the
+    (point, value) pair of every local refinement, in start order.
+    ``evaluations`` counts every strategy scored: scan points, the
+    difference points of every BFGS step and those of the stationarity test.
     """
 
     strategy: Strategy
@@ -172,10 +175,6 @@ def _check_gamma(model: FactorModel, params: CriterionParams) -> None:
         raise DimensionError(
             f"gamma must have length n={model.n}, got {params.gamma.shape[0]}"
         )
-
-
-def _split(x: np.ndarray, m: int, n: int) -> Strategy:
-    return Strategy(h=x[:m], H=x[m:].reshape(m, n))
 
 
 def _scan_points(config: OptimizerConfig, dim: int) -> np.ndarray:
@@ -244,27 +243,28 @@ def _unbounded(direction: np.ndarray, reason: str):
     )
 
 
-def _fd_gradient(score, x: np.ndarray) -> float:
-    """Norm of the central-difference gradient; ``score`` maps a (k, dim) stack to (k,) values."""
-    steps = _STATIONARITY_STEP * (1.0 + np.abs(x))
-    E = np.diag(steps)
-    f = score(np.vstack([x + E, x - E]))
-    return float(np.linalg.norm((f[:len(x)] - f[len(x):]) / (2.0 * steps)))
+def _stencil(score, x: np.ndarray, coords) -> tuple:
+    """W at ``x`` and its 5-point-stencil gradient along ``coords``.
+
+    ``score`` maps a (k, dim) stack to (k,) values; one call scores 1 + 4 len(coords) rows.
+    """
+    steps = _STENCIL_STEP * (1.0 + np.abs(x[coords]))
+    E = np.eye(len(x))[coords] * steps[:, None]
+    f = score(np.vstack([x, x + 2.0 * E, x + E, x - E, x - 2.0 * E]))
+    p2, p1, m1, m2 = f[1:].reshape(4, -1)
+    return f[0], (8.0 * (p1 - m1) - (p2 - m2)) / (12.0 * steps)
 
 
 def optimize(model: FactorModel, params: CriterionParams,
-             config: OptimizerConfig | None = None,
-             warm_starts=()) -> OptimizationResult:
+             config: OptimizerConfig | None = None) -> OptimizationResult:
     """Maximize the criterion over (h, H).
 
-    Grid scan over H, then Nelder-Mead over H from the best
-    ``local_restarts`` distinct cells (plus the H part of any warm starts),
-    then one more refinement pass from the incumbent if its run stopped at
-    the iteration or evaluation cap; every point takes the maximizing h for
-    its H.  Raises :class:`UnboundedCriterionError` when W has no maximum
-    (see the module docstring), and :class:`~longrun.linalg.DimensionError`
-    when ``gamma`` does not have length n.  Ties within the simplex
-    tolerance go to the smallest-norm point, then lexicographic.
+    Grid scan over H, then BFGS over H from the best ``local_restarts``
+    distinct cells; every point takes the maximizing h for its H.  Raises
+    :class:`UnboundedCriterionError` when W has no maximum (see the module
+    docstring), and :class:`~longrun.linalg.DimensionError` when ``gamma``
+    does not have length n.  Ties within ``config.simplex_tolerance`` go to
+    the smallest-norm point, then lexicographic.
     """
     config = config or OptimizerConfig()
     m, n = model.m, model.n
@@ -292,36 +292,34 @@ def optimize(model: FactorModel, params: CriterionParams,
 
     lo, hi = config.grid_bounds
     spacing = (hi - lo) / max(config.grid_points - 1, 1)
-    starts = [np.asarray(w, dtype=float).ravel()[m:] for w in warm_starts]
-    for idx in np.argsort(-values, kind="stable"):
-        cand = points[idx]
+    starts = []
+    for cand in points[np.argsort(-values, kind="stable")]:
         if all(np.linalg.norm(cand - s) > 0.5 * spacing for s in starts):
             starts.append(cand)
-        if len(starts) >= config.local_restarts + len(warm_starts):
+        if len(starts) >= config.local_restarts:
             break
 
-    def refine(H0):
-        res = scipy.optimize.minimize(
-            lambda Hx: -score(full(Hx)[None])[0], H0, method="Nelder-Mead",
-            options={
-                "xatol": 1e-8, "fatol": config.simplex_tolerance,
-                "maxiter": config.max_iterations, "maxfev": 4 * config.max_iterations,
-            },
-        )
-        return full(np.asarray(res.x, dtype=float)), float(-res.fun), res.success
+    def objective(Hx):
+        # Envelope theorem: at h = h*(H), dW/dh = 0, so the partial gradient
+        # along H is the exact gradient of W*(H) = max_h W(h, H).
+        w, g = _stencil(score, full(Hx), np.arange(m, m + m * n))
+        return -w, -g
 
-    runs = [refine(s) for s in starts]
-    incumbent = max(runs, key=lambda t: t[1])
-    if not incumbent[2]:           # stopped at maxiter or maxfev: resume from it
-        runs.append(refine(incumbent[0][m:]))
-    trials = [(x, w) for x, w, _ in runs]
+    trials = []
+    for H0 in starts:
+        # gtol bounds each H partial, far inside the stationarity test, so
+        # restarts that end at one optimum agree to well below 1e-6.
+        res = scipy.optimize.minimize(
+            objective, H0, jac=True, method="BFGS",
+            options={"gtol": 1e-3 * _STATIONARITY_NORM, "maxiter": config.max_iterations})
+        trials.append((full(res.x), float(-res.fun)))
 
     best_w = max(w for _, w in trials)
     tol = config.simplex_tolerance * (1.0 + abs(best_w))
     tied = [(x, w) for x, w in trials if w >= best_w - tol]
     x_star, w_star = min(tied, key=lambda t: (np.linalg.norm(t[0]), tuple(t[0])))
 
-    g_norm = _fd_gradient(score, x_star)
+    g_norm = float(np.linalg.norm(_stencil(score, x_star, np.arange(x_star.size))[1]))
     stationary = g_norm <= _STATIONARITY_NORM * (1.0 + abs(w_star))
     message = "converged" if stationary else (
         f"gradient norm {g_norm:.3e} exceeds the stationarity tolerance"
@@ -329,7 +327,7 @@ def optimize(model: FactorModel, params: CriterionParams,
     if values.max() - w_star > tol:
         message += "; a scan point beat the refined optimum"
     return OptimizationResult(
-        strategy=_split(x_star, m, n),
+        strategy=Strategy(h=x_star[:m], H=x_star[m:].reshape(m, n)),
         value=w_star,
         stationary=stationary,
         gradient_norm=g_norm,
@@ -343,18 +341,15 @@ def _sweep(model, param_list, make_params, config, name) -> SweepResult:
     param_list = [float(p) for p in param_list]
     if len(param_list) == 0:
         raise ValueError(f"{name} is empty")
-    m, n = model.m, model.n
-    h_star = np.full((len(param_list), m), np.nan)
-    H_star = np.full((len(param_list), m, n), np.nan)
+    h_star = np.full((len(param_list), model.m), np.nan)
+    H_star = np.full((len(param_list), model.m, model.n), np.nan)
     values = np.full(len(param_list), np.nan)
     stationary = np.zeros(len(param_list), dtype=bool)
-    failed = np.zeros(len(param_list), dtype=bool)
-    messages, results, warm = [], [], []
+    messages, results = [], []
     for i, p in enumerate(param_list):
         try:
-            res = optimize(model, make_params(p), config, warm_starts=warm)
+            res = optimize(model, make_params(p), config)
         except UnboundedCriterionError as err:
-            failed[i] = True
             messages.append(str(err))
             results.append(None)
             continue
@@ -364,7 +359,7 @@ def _sweep(model, param_list, make_params, config, name) -> SweepResult:
         stationary[i] = res.stationary
         messages.append(res.message)
         results.append(res)
-        warm = [np.concatenate([res.strategy.h, res.strategy.H.ravel()])]
+    failed = np.array([r is None for r in results])
     return SweepResult(np.array(param_list), h_star, H_star, values, stationary, failed,
                        tuple(messages), tuple(results))
 
@@ -373,9 +368,9 @@ def sweep_theta(model: FactorModel, theta_values, gamma=None,
                 config: OptimizerConfig | None = None) -> SweepResult:
     """Optimize along an ascending list of risk sensitivities.
 
-    Each point warm-starts from the previous optimum on top of its own grid
-    scan.  ``gamma`` is a fixed factor-sensitivity vector (default zero).
-    Failed points are flagged and skipped, not fatal.
+    Each point is optimized on its own, from its own grid scan.  ``gamma`` is
+    a fixed factor-sensitivity vector (default zero).  Failed points are
+    flagged and skipped, not fatal.
     """
     g = np.zeros(model.n) if gamma is None else np.asarray(gamma, dtype=float)
     return _sweep(model, theta_values, lambda t: CriterionParams(theta=t, gamma=g), config,

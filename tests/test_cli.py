@@ -201,6 +201,20 @@ def test_sweep_failed_point_warns_and_strict_exits_3(model_file, tmp_path, capsy
             == (tmp_path / "lax" / "sweep.csv").read_bytes())
 
 
+@pytest.mark.parametrize("argv", [
+    ["optimize", "--theta", "0", "--gamma", "0"],
+    ["sweep", "--mode", "gamma", "--theta", "0", "--range", "0,0.05"],
+])
+def test_library_warning_printed_in_cli_format(argv, model_file, tmp_path, capsys):
+    # optimize warns at theta = 0, gamma = 0; gamma = 0.05 fails as a sweep point
+    main(argv + ["--model", model_file, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    line = ("warning: theta = 0 and gamma = 0: the criterion reduces to the growth "
+            "rate alone; the optimum ignores risk entirely")
+    assert err.splitlines().count(line) == 1
+    assert "UserWarning" not in err and ".py:" not in err
+
+
 def test_manifest_replay_is_byte_identical(model_file, tmp_path):
     first = tmp_path / "run1"
     argv = ["sweep", "--model", model_file, "--mode", "theta",
@@ -355,6 +369,7 @@ def test_unread_flags_rejected_exit_1(argv, tmp_path, monkeypatch):
     ["sweep", "--mode", "H", "--theta", "-1", "--gamma", "nan"],
     ["sweep", "--mode", "gamma", "--h", "5", "--gamma", "7", "--range", "0,0.01"],
     ["sweep", "--mode", "theta", "--h", "5", "--range", "1"],
+    ["sweep", "--mode", "H", "--strict"],
 ])
 def test_rejected_flag_values_exit_1(argv, model_file, tmp_path, capsys):
     assert main(argv + ["--model", model_file, "--out", str(tmp_path / "o")]) == 1

@@ -197,11 +197,43 @@ def test_evaluations_count_every_strategy_scored(monkeypatch):
     assert max(scored) == 31                      # the whole scan in one call
 
 
-def test_refinement_from_incumbent_only_when_capped():
-    model = reference_model()
-    prm = CriterionParams(theta=1.0, gamma=[0.0])
-    converged = optimize(model, prm, OptimizerConfig(local_restarts=3))
-    assert len(converged.restarts) == 3
-    capped = optimize(model, prm, OptimizerConfig(local_restarts=3, max_iterations=2))
-    assert len(capped.restarts) == 4
+def _scorer(model, prm):
+    m, n = model.m, model.n
+    return lambda X: evaluate(model, (X[:, :m], X[:, m:].reshape(-1, m, n)), prm)
 
+
+def test_stencil_gradient_is_exact(monkeypatch):
+    # W is quartic in (h, H), so the 5-point stencil has no truncation error:
+    # a tenfold step gives the same gradient up to rounding.
+    rng = np.random.default_rng(31)
+    models = [random_stable_model(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+              for _ in range(12)]
+    for i, model in enumerate(models + [degenerate_model()]):
+        prm = CriterionParams(theta=(0.0, 0.5, 4.0)[i % 3],
+                              gamma=rng.normal(scale=0.3, size=model.n) + 0.1)
+        calls = []
+        score = _scorer(model, prm)
+        x = rng.uniform(-2.0, 2.0, model.m * (1 + model.n))
+        coords = np.arange(x.size)
+        grads = []
+        for step in (0.1, 1.0):
+            monkeypatch.setattr(criterion, "_STENCIL_STEP", step)
+            w, g = criterion._stencil(lambda X: calls.append(len(X)) or score(X), x, coords)
+            assert_allclose(w, score(x[None])[0], rtol=RTOL)
+            grads.append(g)
+        assert calls == [1 + 4 * x.size] * 2
+        assert np.linalg.norm(grads[1] - grads[0]) <= 1e-9 * np.linalg.norm(grads[0])
+
+
+@pytest.mark.parametrize("theta", [0.5, 4.0])
+def test_optimum_has_no_h_gradient(theta):
+    # The search moves H only, with h = h*(H); its gradient is exact only if
+    # dW/dh vanishes there.
+    for model in (reference_model(), random_stable_model(np.random.default_rng(12), 2, 2),
+                  degenerate_model()):
+        prm = CriterionParams(theta=theta, gamma=np.full(model.n, 0.05))
+        res = optimize(model, prm, OptimizerConfig(grid_points=15, local_restarts=2))
+        x = np.concatenate([res.strategy.h, res.strategy.H.ravel()])
+        _, g = criterion._stencil(_scorer(model, prm), x, np.arange(model.m))
+        assert res.stationary, res.message
+        assert np.linalg.norm(g) <= criterion._STATIONARITY_NORM * (1.0 + abs(res.value))

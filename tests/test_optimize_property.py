@@ -1,4 +1,4 @@
-"""Seeded property test of optimize over random stable models with m*n <= 2.
+"""Seeded property test of optimize over random stable models with m, n <= 3.
 
 optimize must raise exactly when theta = 0 and w'Dw > 1 (w = B^-T gamma, D
 the stationary factor covariance); otherwise it must return a finite,
@@ -21,12 +21,14 @@ from longrun import (
 
 QUICK = OptimizerConfig(grid_points=15, local_restarts=2)
 SHAPES = ((1, 1), (1, 2), (2, 1))
+# Seeds from 18 on draw m*n > 2, where the scan is a Latin hypercube.
+LHS_SHAPES = ((1, 3), (3, 1), (2, 2), (2, 3), (3, 2), (3, 3))
 
 
-@pytest.mark.parametrize("seed", range(18))
+@pytest.mark.parametrize("seed", range(54))
 def test_optimize_raises_iff_unbounded_else_global(seed):
     rng = np.random.default_rng(seed)
-    m, n = SHAPES[seed % 3]
+    m, n = SHAPES[seed % 3] if seed < 18 else LHS_SHAPES[seed % 6]
     model = random_stable_model(rng, m, n)
     theta = float(rng.choice([0.0, 0.0, 0.5, 2.0]))
     params = CriterionParams(theta=theta, gamma=rng.normal(scale=0.3, size=n))
