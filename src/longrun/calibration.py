@@ -28,7 +28,7 @@ import numpy as np
 import scipy.linalg
 
 from .linalg import psd_sqrt
-from .model import FactorModel, validate_model
+from .model import FactorModel, _require_definite_diffusion
 
 __all__ = [
     "RETURN_PERCENT_SCALE",
@@ -334,7 +334,7 @@ def report_from_estimates(estimates: DiscreteEstimates,
             raise CalibrationNumericError(f"non-finite t-ratio in the {label} regression")
     model = to_continuous(estimates, persistence_map=persistence_map)
     try:
-        model = validate_model(model.a, model.A, model.B, model.Sigma, model.Lambda)
+        _require_definite_diffusion(model)
     except ValueError as exc:
         raise CalibrationNumericError(f"calibrated model invalid: {exc}") from exc
     conventions = {
@@ -381,7 +381,10 @@ def reference_estimates() -> DiscreteEstimates:
 
 def read_timeseries_csv(path) -> TimeSeriesData:
     """Parse `date,excess_return_1..m,factor_1..n` CSV into TimeSeriesData."""
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CalibrationDataError(f"{path}: not UTF-8 text ({exc})") from exc
     return _parse_timeseries(text, str(path))
 
 

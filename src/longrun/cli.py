@@ -458,7 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("moments", help="closed-form long-run moments for one strategy")
     p.add_argument("--check", action="store_true",
-                   help="also run the Monte Carlo oracle and print z-scores")
+                   help="also run the Monte Carlo oracle and print z-scores; the default "
+                        "--dt, --horizon and --paths make 1e9 path-steps (minutes)")
     _add_common(p, oracle=True)
     p.set_defaults(func=cmd_moments)
 

@@ -21,11 +21,9 @@ stationary factor covariance and w = B^-T gamma:
 * theta = 0: with h maximized out, W is quadratic in H with curvature
   tr(H'SS'H (D w w'D - D)) / 2, so it is unbounded iff w'D w > 1, along
   H = u w', h = H D w.
-* theta > 0 with SS' positive definite: the quartic part of the variance
-  rate bounds W.
-* Singular SS' (FactorModel allows it): W is linear in h along the null
-  space of its h-Hessian, and at theta = 0 also in the H with columns in
-  the null space of SS'; a nonzero slope there means no maximum.
+* theta > 0: the quartic part of the variance rate bounds W.
+
+Both rules need SS' positive definite, which :func:`optimize` checks first.
 
 Everything here is deterministic: the sampling plan for high-dimensional
 scans is seeded from the config, restart results are merged by index, and
@@ -42,7 +40,7 @@ import numpy as np
 import scipy.optimize
 
 from .linalg import DimensionError
-from .model import CriterionParams, FactorModel, Strategy
+from .model import CriterionParams, FactorModel, Strategy, _require_definite_diffusion
 from .moments import moments
 
 __all__ = [
@@ -64,9 +62,6 @@ _SCAN_BUDGET = 4096
 # large one keeps the rounding error small.
 _STENCIL_STEP = 1e-3
 _STATIONARITY_NORM = 1e-6
-# Relative cut-offs for a null direction of the h-Hessian and a slope along one.
-_SINGULAR = 1e-12
-_NULL_SHARE = 1e-9
 
 
 class UnboundedCriterionError(RuntimeError):
@@ -194,11 +189,11 @@ def _h_solver(model: FactorModel, params: CriterionParams):
     """Raise if W has no maximum; else return ``H -> h*(H)``, H of shape (m, n) or (k, m, n).
 
     h* solves (SS' + (theta/2) G'G) h = a - (theta/2) G'y0 + (SS'H D - A D - Sigma Lambda') w
-    with G = Sigma' + Lambda'B^-T (H'SS' - A'), y0 = -Lambda'B^-T H'a.  The null
-    space N of that Hessian, and the right side's part in N, do not depend on
-    H; adding NN' to the Hessian picks the least-norm maximizer.
+    with G = Sigma' + Lambda'B^-T (H'SS' - A'), y0 = -Lambda'B^-T H'a.  Raises
+    :class:`~longrun.model.ModelValidationError` unless SS' is positive definite.
     """
     _check_gamma(model, params)
+    _require_definite_diffusion(model)
     a, A, Sg = model.a, model.A, model.Sigma
     SS = model.prepared.SS
     dlt = model.prepared.D
@@ -208,28 +203,17 @@ def _h_solver(model: FactorModel, params: CriterionParams):
     G0 = Sg.T - K @ A.T
     r0 = a - A @ dw - Sg @ (model.Lambda.T @ w)
     half = 0.5 * params.theta
-    lam, V = np.linalg.eigh(SS + half * (G0.T @ G0))    # the h-Hessian at H = 0
-    null = V[:, lam <= _SINGULAR * max(lam[-1], 0.0)]
-    if np.linalg.norm(null.T @ r0) > _NULL_SHARE * np.linalg.norm(r0):
-        _unbounded(np.concatenate([null @ (null.T @ r0), np.zeros(A.size)]),
-                   "W is linear in h along a null direction of its Hessian")
-    if params.theta == 0.0:                              # lam, V are those of SS'
-        if float(w @ dw) > 1.0 and lam[-1] > 0.0:
-            H = np.outer(V[:, -1], w)
-            _unbounded(np.concatenate([H @ dw, H.ravel()]),
-                       f"theta = 0 and w'Dw = {float(w @ dw):.4g} > 1")
-        slope = A @ (dlt - np.outer(dw, dw))
-        if np.linalg.norm(null.T @ slope) > _NULL_SHARE * np.linalg.norm(slope):
-            _unbounded(np.concatenate([np.zeros(A.shape[0]), (null @ (null.T @ slope)).ravel()]),
-                       "theta = 0 and W is linear in H along a riskless asset")
-    fill = SS + null @ null.T
+    if params.theta == 0.0 and float(w @ dw) > 1.0:
+        H = np.outer(np.linalg.eigh(SS)[1][:, -1], w)    # along the top eigenvector of SS'
+        _unbounded(np.concatenate([H @ dw, H.ravel()]),
+                   f"theta = 0 and w'Dw = {float(w @ dw):.4g} > 1")
 
     def h_star(H: np.ndarray) -> np.ndarray:
         Ht = np.swapaxes(H, -1, -2)
         G = G0 + K @ Ht @ SS
         Gt = np.swapaxes(G, -1, -2)
         r = r0 + (H @ dw) @ SS + half * (Gt @ ((Ht @ a) @ K.T)[..., None])[..., 0]
-        return np.linalg.solve(fill + half * (Gt @ G), r[..., None])[..., 0]
+        return np.linalg.solve(SS + half * (Gt @ G), r[..., None])[..., 0]
 
     return h_star
 
@@ -260,22 +244,22 @@ def optimize(model: FactorModel, params: CriterionParams,
     """Maximize the criterion over (h, H).
 
     Grid scan over H, then BFGS over H from the best ``local_restarts``
-    distinct cells; every point takes the maximizing h for its H.  Raises
-    :class:`UnboundedCriterionError` when W has no maximum (see the module
-    docstring), and :class:`~longrun.linalg.DimensionError` when ``gamma``
-    does not have length n.  Ties within ``config.simplex_tolerance`` go to
-    the smallest-norm point, then lexicographic.
+    distinct cells; every point takes the maximizing h for its H.  Raises,
+    before scoring a strategy, :class:`UnboundedCriterionError` when W has
+    no maximum (see the module docstring), :class:`~longrun.model.ModelValidationError`
+    when Sigma Sigma' is not positive definite, and :class:`~longrun.linalg.DimensionError`
+    when ``gamma`` does not have length n.  Ties within ``config.simplex_tolerance``
+    go to the smallest-norm point, then lexicographic.
     """
     config = config or OptimizerConfig()
     m, n = model.m, model.n
-    _check_gamma(model, params)
+    h_star = _h_solver(model, params)
     if params.theta == 0.0 and not np.any(params.gamma != 0.0):
         warnings.warn(
             "theta = 0 and gamma = 0: the criterion reduces to the growth "
             "rate alone; the optimum ignores risk entirely",
             stacklevel=2,
         )
-    h_star = _h_solver(model, params)
     evaluations = 0
 
     def score(X):

@@ -36,6 +36,7 @@ from scipy.signal import lfilter
 from .calibration import TimeSeriesData
 from .linalg import NumericError, psd_sqrt
 from .model import FactorModel, Strategy
+from .moments import _stack
 
 __all__ = [
     "SimConfig",
@@ -286,8 +287,7 @@ def simulate(model: FactorModel, strategy: Strategy, config: SimConfig,
     ``stream_offset`` selects a disjoint stream family; batches run with
     different offsets are statistically independent at the same seed.
     """
-    if strategy.H.shape != (model.m, model.n):
-        raise ValueError(f"strategy H has shape {strategy.H.shape}, model has (m={model.m}, n={model.n})")
+    _stack(model, strategy)     # DimensionError if the strategy does not fit the model
     steps = int(round(config.horizon / config.dt))
     if steps < 1:
         raise ValueError("horizon shorter than one step")

@@ -118,10 +118,11 @@ class FactorModel:
         Diffusion loading of the factors on the same driver.
 
     Construction enforces shapes, finiteness, and stability of ``B``.  The
-    stricter market invariants (positive-definite return diffusion) are
+    stricter market invariant (positive-definite return diffusion) is
     enforced by :func:`validate_model`, which is the gate used by the CLI and
-    the calibration pipeline; degenerate diffusions remain constructible for
-    simulation edge cases.
+    the calibration pipeline, and by :func:`~longrun.criterion.optimize`.
+    Degenerate diffusions remain valid for
+    :func:`~longrun.moments.moments` and the Monte Carlo oracle only.
     """
 
     a: np.ndarray
@@ -207,19 +208,33 @@ def validate_model(a, A, B, Sigma, Lambda) -> FactorModel:
     ``violations`` collects every failed invariant.
     """
     model = FactorModel(
-        a=np.atleast_1d(np.asarray(a, dtype=float)),
-        A=np.atleast_2d(np.asarray(A, dtype=float)),
-        B=np.atleast_2d(np.asarray(B, dtype=float)),
-        Sigma=np.atleast_2d(np.asarray(Sigma, dtype=float)),
-        Lambda=np.atleast_2d(np.asarray(Lambda, dtype=float)),
+        a=np.atleast_1d(_numeric("a", a)),
+        A=np.atleast_2d(_numeric("A", A)),
+        B=np.atleast_2d(_numeric("B", B)),
+        Sigma=np.atleast_2d(_numeric("Sigma", Sigma)),
+        Lambda=np.atleast_2d(_numeric("Lambda", Lambda)),
     )
+    _require_definite_diffusion(model)
+    return model
+
+
+def _numeric(name: str, value) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ModelValidationError(
+            [f"{name} must be a rectangular array of numbers ({exc})"]
+        ) from exc
+
+
+def _require_definite_diffusion(model: FactorModel) -> None:
+    """Raise unless ``Sigma Sigma'`` is positive definite (from ``Sigma``: no Lyapunov solve)."""
     eigs = np.linalg.eigvalsh(model.Sigma @ model.Sigma.T)
     floor = 1e-12 * max(float(eigs[-1]), 1e-300)
     if eigs[0] <= floor:
         raise ModelValidationError(
             [f"Sigma Sigma' is not positive definite (min eigenvalue {eigs[0]:.3e})"]
         )
-    return model
 
 
 @dataclass(frozen=True)
@@ -310,7 +325,7 @@ def model_from_dict(doc: dict) -> FactorModel:
         raise ModelValidationError([f"missing field: {k}" for k in missing])
     model = validate_model(doc["a"], doc["A"], doc["B"], doc["Sigma"], doc["Lambda"])
     for key in ("m", "n"):
-        if key in doc and int(doc[key]) != getattr(model, key):
+        if key in doc and doc[key] != getattr(model, key):
             raise ModelValidationError(
                 [f"declared {key}={doc[key]} does not match arrays ({getattr(model, key)})"]
             )
@@ -327,6 +342,6 @@ def load_model(path) -> FactorModel:
     """Read and validate a schema-v1 model JSON file."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ModelValidationError([f"invalid JSON in {path}: {exc}"]) from exc
     return model_from_dict(doc)

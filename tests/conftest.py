@@ -1,3 +1,4 @@
+import dataclasses
 import os
 from pathlib import Path
 
@@ -44,3 +45,14 @@ def random_stable_model(rng: np.random.Generator, m: int, n: int) -> FactorModel
         Sigma=rng.normal(scale=0.2, size=(m, m + n)) + np.hstack([np.eye(m) * 0.3, np.zeros((m, n))]),
         Lambda=rng.normal(scale=0.4, size=(n, m + n)),
     )
+
+
+def degenerate_model(m: int = 2, n: int = 2) -> FactorModel:
+    """A seed-4 random model whose second asset is half the first: Sigma Sigma' is singular.
+
+    FactorModel allows it; validate_model and optimize reject it.
+    """
+    base = random_stable_model(np.random.default_rng(4), m, n)
+    Sigma = base.Sigma.copy()
+    Sigma[1] = 0.5 * Sigma[0]
+    return dataclasses.replace(base, Sigma=Sigma)

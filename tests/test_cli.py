@@ -13,6 +13,7 @@ from longrun import (
     OptimizerConfig,
     Strategy,
     load_model,
+    model_to_dict,
     moments,
     optimize,
     reference_model,
@@ -141,6 +142,33 @@ def test_moments_bad_vector_exit_1(model_file, capsys):
 def test_missing_model_file_exit_2(tmp_path, capsys):
     rc = main(["moments", "--model", str(tmp_path / "nope.json")])
     assert rc == 2
+
+
+def _corrupt_model(**fields) -> bytes:
+    return json.dumps(model_to_dict(reference_model()) | fields).encode()
+
+
+MALFORMED_INPUTS = {
+    "m-string": ("moments", _corrupt_model(m="abc")),
+    "m-null": ("moments", _corrupt_model(m=None)),
+    "a-string": ("moments", _corrupt_model(a="xyz")),
+    "a-object": ("moments", _corrupt_model(a={"x": 1})),
+    "B-string-entry": ("moments", _corrupt_model(B=[["x"]])),
+    "A-ragged": ("moments", _corrupt_model(A=[[-0.01], [0.0, 1.0]])),
+    "model-not-utf8": ("moments", _corrupt_model()[:-1] + b', "note": "\xff"}'),
+    "csv-not-utf8": ("calibrate", b"date,excess_return_1,factor_1\n1990-01,0.1\xff,0.2\n"),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_INPUTS)
+def test_malformed_input_exit_2(tmp_path, capsys, name):
+    verb, data = MALFORMED_INPUTS[name]
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    argv = (["moments", "--model", str(path)] if verb == "moments"
+            else ["calibrate", str(path), "--out", str(tmp_path / "o")])
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("longrun: input error:")
 
 
 def test_sweep_H_csv(model_file, tmp_path):

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import random_stable_model, scalar_strategy
+import longrun.criterion as criterion
+from conftest import degenerate_model, random_stable_model, scalar_strategy
 from longrun import (
     CriterionParams,
     FactorModel,
+    ModelValidationError,
     OptimizerConfig,
     Strategy,
     SweepResult,
@@ -247,55 +249,34 @@ def test_theta_zero_bounded_seed_is_stationary():
     assert res.stationary
 
 
-def _degenerate_toy():
-    # the asset carries no diffusion, so the h-Hessian is singular at theta = 0
-    return FactorModel(
-        a=np.array([0.01]), A=np.array([[-0.01]]), B=np.array([[-0.05]]),
-        Sigma=np.array([[0.0, 0.0]]), Lambda=np.array([[0.0, 0.5]]),
-    )
+def _riskless_toy(a, A):
+    # the asset carries no diffusion: Sigma Sigma' = 0
+    return FactorModel(a=np.array([a]), A=np.array([[A]]), B=np.array([[-0.05]]),
+                       Sigma=np.array([[0.0, 0.0]]), Lambda=np.array([[0.0, 0.5]]))
 
 
-def test_degenerate_sigma_theta_zero_raises():
-    with pytest.warns(UserWarning, match="theta = 0"):
-        with pytest.raises(UnboundedCriterionError, match="without bound"):
-            optimize(_degenerate_toy(), params(), QUICK)
+SINGULAR_DIFFUSION = {
+    "riskless": lambda: _riskless_toy(0.01, -0.01),
+    "riskless-flat-drift": lambda: _riskless_toy(0.01, 0.0),
+    "riskless-no-constant-drift": lambda: _riskless_toy(0.0, -0.01),
+    "redundant-2x2": degenerate_model,
+    "redundant-2x1": lambda: degenerate_model(n=1),
+}
 
 
-def test_degenerate_sigma_theta_one_optimum():
-    res = optimize(_degenerate_toy(), params(theta=1.0), QUICK)
-    assert_allclose(res.strategy.h[0], 0.8, atol=1e-6)
-    assert_allclose(res.strategy.H[0, 0], -1.2, atol=1e-6)
-    assert_allclose(res.value, 0.019, rtol=1e-9)
-    assert res.stationary
-
-
-def test_degenerate_sigma_linear_in_h_raises():
-    # a riskless asset whose drift ignores the factor: W is linear in its
-    # holding at any theta
-    toy = FactorModel(
-        a=np.array([0.01]), A=np.array([[0.0]]), B=np.array([[-0.05]]),
-        Sigma=np.array([[0.0, 0.0]]), Lambda=np.array([[0.0, 0.5]]),
-    )
-    with pytest.raises(UnboundedCriterionError, match="linear in h") as exc:
-        optimize(toy, params(theta=1.0), QUICK)
-    assert_allclose(exc.value.direction, [1.0, 0.0])
-
-
-def test_degenerate_sigma_theta_zero_linear_in_H_raises():
-    # a riskless asset with factor-dependent drift and no constant drift: at
-    # theta = 0 the tilt H earns tr(D H'A) with nothing to pay for it
-    toy = FactorModel(
-        a=np.array([0.0]), A=np.array([[-0.01]]), B=np.array([[-0.05]]),
-        Sigma=np.array([[0.0, 0.0]]), Lambda=np.array([[0.0, 0.5]]),
-    )
-    with pytest.warns(UserWarning, match="theta = 0"):
-        with pytest.raises(UnboundedCriterionError, match="linear in H") as exc:
-            optimize(toy, params(), QUICK)
-    e = exc.value.direction
-    far = [evaluate(toy, scalar_strategy(t * e[0], t * e[1]), params()) for t in (1.0, 10.0, 100.0)]
-    assert far[0] < far[1] < far[2]
-    res = optimize(toy, params(theta=1.0), QUICK)
-    assert res.stationary and np.isfinite(res.value)
+@pytest.mark.parametrize("theta", [0.0, 1.0])
+@pytest.mark.parametrize("name", SINGULAR_DIFFUSION)
+def test_singular_diffusion_rejected_before_scoring(monkeypatch, name, theta):
+    # optimize takes only the markets validate_model accepts
+    model = SINGULAR_DIFFUSION[name]()
+    calls = []
+    monkeypatch.setattr(criterion, "evaluate", lambda *args: calls.append(args))
+    prm = CriterionParams(theta=theta, gamma=np.zeros(model.n))
+    with pytest.raises(ModelValidationError, match="Sigma Sigma' is not positive definite"):
+        optimize(model, prm, QUICK)
+    with pytest.raises(ModelValidationError, match="Sigma Sigma' is not positive definite"):
+        sweep_theta(model, [theta], config=QUICK)
+    assert calls == []
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -15,7 +15,7 @@ from numpy.testing import assert_allclose
 
 import longrun.criterion as criterion
 import longrun.linalg as linalg
-from conftest import random_stable_model, scalar_strategy
+from conftest import degenerate_model, random_stable_model, scalar_strategy
 from longrun import (
     CriterionParams,
     DimensionError,
@@ -47,15 +47,6 @@ def reference(model, h, H, theta, gamma):
     S = scipy.linalg.solve_continuous_lyapunov(B, 0.5 * (Q + Q.T))
     rate = Y @ Y + np.trace(2.0 * (S @ HtA) + (D - S) @ HtSSH)
     return K, rate, P, Y, S, K - 0.25 * theta * rate + gamma @ P
-
-
-def degenerate_model():
-    # second asset = half the first: Sigma Sigma' is singular (FactorModel allows it)
-    rng = np.random.default_rng(4)
-    base = random_stable_model(rng, 2, 2)
-    Sigma = base.Sigma.copy()
-    Sigma[1] = 0.5 * Sigma[0]
-    return dataclasses.replace(base, Sigma=Sigma)
 
 
 def cases():
@@ -229,8 +220,7 @@ def test_stencil_gradient_is_exact(monkeypatch):
 def test_optimum_has_no_h_gradient(theta):
     # The search moves H only, with h = h*(H); its gradient is exact only if
     # dW/dh vanishes there.
-    for model in (reference_model(), random_stable_model(np.random.default_rng(12), 2, 2),
-                  degenerate_model()):
+    for model in (reference_model(), random_stable_model(np.random.default_rng(12), 2, 2)):
         prm = CriterionParams(theta=theta, gamma=np.full(model.n, 0.05))
         res = optimize(model, prm, OptimizerConfig(grid_points=15, local_restarts=2))
         x = np.concatenate([res.strategy.h, res.strategy.H.ravel()])

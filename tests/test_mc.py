@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from conftest import scalar_strategy
 from longrun import (
+    DimensionError,
     FactorModel,
     PathStats,
     SimConfig,
@@ -186,7 +187,7 @@ def test_non_finite_blowup_located(model):
 
 def test_strategy_shape_checked(model):
     bad = Strategy(h=np.zeros(2), H=np.zeros((2, 1)))
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionError, match="strategy has h of shape"):
         simulate(model, bad, FAST)
 
 

@@ -12,7 +12,9 @@ from longrun import (
     load_model,
     model_from_dict,
     model_to_dict,
+    reference_estimates,
     reference_model,
+    report_from_estimates,
     save_model,
     validate_model,
 )
@@ -171,3 +173,5 @@ def test_validate_model_checks_stability_once(monkeypatch, model):
     assert len(calls) == 1
     model_from_dict(model_to_dict(model))
     assert len(calls) == 2
+    report_from_estimates(reference_estimates())    # no rebuilt model, one check
+    assert len(calls) == 3

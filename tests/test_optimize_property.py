@@ -1,8 +1,9 @@
-"""Seeded property test of optimize over random stable models with m, n <= 3.
+"""Seeded property tests of optimize over random stable models with m, n <= 3.
 
 optimize must raise exactly when theta = 0 and w'Dw > 1 (w = B^-T gamma, D
 the stationary factor covariance); otherwise it must return a finite,
-stationary point that no random probe, near or far, beats.
+stationary point that no random probe, near or far, beats.  At theta = 0,
+where W is quadratic in (h, H), the exact optimum certifies it.
 """
 
 import numpy as np
@@ -52,3 +53,41 @@ def test_optimize_raises_iff_unbounded_else_global(seed):
     for p in np.concatenate([near, wide, far]):
         probe = Strategy(h=p[:m], H=p[m:].reshape(m, n))
         assert evaluate(model, probe, params) <= res.value + tol
+
+
+def _quadratic_terms(model, params):
+    """Gradient and Hessian of W at 0 over x = (h, vec H), from one ``evaluate`` call.
+
+    Central differences with step 1; they are exact when W is quadratic in x.
+    """
+    m, n = model.m, model.n
+    d = m * (1 + n)
+    E = np.eye(d)
+    i, j = np.triu_indices(d, 1)
+    X = np.vstack([np.zeros(d), E, -E, E[i] + E[j], E[i] - E[j], E[j] - E[i], -E[i] - E[j]])
+    f = evaluate(model, (X[:, :m], X[:, m:].reshape(-1, m, n)), params)
+    up, down = f[1:1 + d], f[1 + d:1 + 2 * d]
+    pp, pm, mp, mm = f[1 + 2 * d:].reshape(4, -1)
+    hess = np.diag(up - 2.0 * f[0] + down)
+    hess[i, j] = hess[j, i] = 0.25 * (pp - pm - mp + mm)
+    return 0.5 * (up - down), hess
+
+
+@pytest.mark.parametrize("seed", range(36))
+def test_theta_zero_optimum_is_the_newton_point(seed):
+    # At theta = 0, W is quadratic in (h, H) jointly: it has a maximum iff its
+    # Hessian has no positive eigenvalue, and one Newton step from 0 lands on it.
+    rng = np.random.default_rng(1000 + seed)
+    m, n = 1 + seed % 3, 1 + seed // 3 % 3
+    model = random_stable_model(rng, m, n)
+    params = CriterionParams(theta=0.0, gamma=rng.normal(scale=0.4, size=n))
+    grad, hess = _quadratic_terms(model, params)
+
+    if np.linalg.eigvalsh(hess)[-1] > 0.0:
+        with pytest.raises(UnboundedCriterionError):
+            optimize(model, params, QUICK)
+        return
+    x = -np.linalg.solve(hess, grad)
+    newton = evaluate(model, Strategy(h=x[:m], H=x[m:].reshape(m, n)), params)
+    res = optimize(model, params, QUICK)
+    assert abs(res.value - newton) <= 1e-10 * (1.0 + abs(newton))
