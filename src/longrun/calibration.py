@@ -389,7 +389,10 @@ def read_timeseries_csv(path) -> TimeSeriesData:
 
 
 def _parse_timeseries(text: str, origin: str) -> TimeSeriesData:
-    rows = list(csv.reader(io.StringIO(text)))
+    try:
+        rows = list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:
+        raise CalibrationDataError(f"{origin}: unreadable CSV ({exc})") from exc
     rows = [r for r in rows if r]
     if not rows:
         raise CalibrationDataError(f"{origin}: empty file")

@@ -4,8 +4,12 @@ The simulator integrates the log-wealth increment directly,
 
     du = (h + Hx)'((a + Ax) dt + Sigma dW) - (h + Hx)'SS'(h + Hx)/2 dt,
 
-with an Euler step (left endpoint).  Both factor schemes run one recursion,
-x_j = phi x_{j-1} + nu_j.  The default is exact: phi = e^{B dt}, and nu, of
+with an Euler step (left endpoint).  In x the step is c0 + c1'x + x'C2x +
+dW'Sigma'(h + Hx), with c0 = (h'a - h'SS'h/2) dt, c1 = (A'h + H'a - H'SS'h) dt
+and C2 = sym(H'A - H'SS'H/2) dt computed once per simulation.  The factor
+path and the increment run step-major, shaped (steps, paths, .).  Both
+factor schemes run one recursion for every n, x_j = phi x_{j-1} + nu_j, one
+matrix product per step.  The default is exact: phi = e^{B dt}, and nu, of
 covariance ``Delta - phi Delta phi'``, is drawn jointly with the Brownian
 increment through the exact conditional law (cov(nu, dW) = B^{-1}(phi - I)
 Lambda) with n extra normals per step.  With a stationary start this makes
@@ -31,7 +35,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
-from scipy.signal import lfilter
 
 from .calibration import TimeSeriesData
 from .linalg import NumericError, psd_sqrt
@@ -163,14 +166,14 @@ def _block_rng(seed: int, stream_offset: int, block: int) -> np.random.Generator
 class _Transition:
     """One factor step ``x_j = x_{j-1} phi' + nu_j`` and the law of its start.
 
-    ``nu = dW @ nu_from_dw + Z @ resid_sqrt'`` with Z one extra normal per
-    factor, drawn only when ``resid_sqrt`` is not None; ``x0_sqrt`` maps
-    standard normals to the stationary factor law.
+    ``nu = dW @ nu_from_dw + Z @ nu_from_z`` (both maps C-contiguous, for
+    speed) with Z one extra normal per factor, drawn only when ``nu_from_z``
+    is not None; ``x0_sqrt`` maps standard normals to the stationary law.
     """
 
     phi: np.ndarray
     nu_from_dw: np.ndarray      # (m+n, n)
-    resid_sqrt: np.ndarray | None
+    nu_from_z: np.ndarray | None
     x0_sqrt: np.ndarray
 
 
@@ -179,13 +182,13 @@ def _transition(model: FactorModel, dt: float, scheme: str) -> _Transition:
     B, Lm, dlt = model.B, model.Lambda, model.prepared.D
     eye = np.eye(model.n)
     if scheme == "euler":
-        return _Transition(eye + B * dt, Lm.T, None, psd_sqrt(dlt))
+        return _Transition(eye + B * dt, Lm.T.copy(), None, psd_sqrt(dlt))
     phi = scipy.linalg.expm(B * dt)
     step_cov = dlt - phi @ dlt @ phi.T
     # cov(nu, dW) with Var(dW) = dt I
     M = np.linalg.solve(B, (phi - eye) @ Lm)
     resid = step_cov - (M @ M.T) / dt
-    return _Transition(phi, (M / dt).T, psd_sqrt(resid), psd_sqrt(dlt))
+    return _Transition(phi, (M / dt).T.copy(), psd_sqrt(resid).T.copy(), psd_sqrt(dlt))
 
 
 def _normals(rng: np.random.Generator, shape, antithetic: bool) -> np.ndarray:
@@ -197,41 +200,51 @@ def _normals(rng: np.random.Generator, shape, antithetic: bool) -> np.ndarray:
 
 
 def _factor_path(x: np.ndarray, nu: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """States x_1..x_L of ``x_j = x_{j-1} phi' + nu_j`` from x_0 = ``x``.
+    """States x_0..x_L of ``x_j = x_{j-1} phi' + nu_j``, step-major.
 
-    ``x`` has shape (..., n) and ``nu`` (..., L, n); the result is shaped
-    like ``nu``.  A single factor runs as one linear filter over the steps.
+    ``x`` has shape (..., n) and ``nu`` (L, ..., n); the result has shape
+    (L + 1, ..., n) with ``x`` first.
     """
-    if x.shape[-1] == 1:
-        c = float(phi[0, 0])
-        path, _ = lfilter([1.0], [1.0, -c], nu[..., 0], axis=-1, zi=(c * x[..., 0])[..., None])
-        return path[..., None]
-    out = np.empty_like(nu)
-    for j in range(nu.shape[-2]):
-        x = x @ phi.T + nu[..., j, :]
-        out[..., j, :] = x
+    out = np.empty((nu.shape[0] + 1,) + x.shape)
+    out[0] = x
+    for j in range(nu.shape[0]):
+        np.matmul(out[j], phi.T, out=out[j + 1])
+        out[j + 1] += nu[j]
     return out
 
 
-def _march_block(model, strategy, config, tr, steps, block, rows, stream_offset):
+def _increment(model: FactorModel, strategy: Strategy, tr: _Transition, dt: float):
+    """Per-step coefficients (c0, c1, C2, G) of the log-wealth increment.
+
+    From factor state x with Brownian increment dW the increment is
+    ``c0 + c1'x + x'C2x + Y[0] + x'Y[1:]`` with ``Y = dW G``.
+    """
+    h, H, a, SS = strategy.h, strategy.H, model.a, model.prepared.SS
+    with np.errstate(over="ignore", invalid="ignore"):
+        SSh, HSS = SS @ h, H.T @ SS
+        c0 = (h @ a - 0.5 * h @ SSh) * dt
+        c1 = (model.A.T @ h + H.T @ a - HSS @ h) * dt
+        C2 = H.T @ model.A - 0.5 * HSS @ H
+        C2 = 0.5 * (C2 + C2.T) * dt
+        G = model.Sigma.T @ np.column_stack([h, H])
+    return c0, c1, C2, G
+
+
+def _march_block(coef, config, tr, steps, block, rows, stream_offset):
     """Advance one block of paths to the terminal time.
 
-    Returns (u, x) of shapes (rows,) and (rows, n).  Draw layout is fixed:
-    [initial-state draws if stationary] then per 256-step slab the Brownian
-    draws followed by the exact-transition extra draws, always generated at
-    full block size and sliced to ``rows``.
+    ``coef`` comes from :func:`_increment`.  Returns (u, x) of shapes (rows,)
+    and (rows, n).  Draw layout is fixed: [initial-state draws if
+    stationary] then per 256-step slab the Brownian draws followed by the
+    exact-transition extra draws, always generated at full block size and
+    sliced to ``rows``.  The factor path and the increment of each slab run
+    step-major, shaped (L, rows, .).
     """
-    m, n = model.m, model.n
-    dt = config.dt
-    sqdt = math.sqrt(dt)
+    c0, c1, C2, G = coef
+    n = c1.shape[0]
+    sqdt = math.sqrt(config.dt)
     anti = config.antithetic
     rng = _block_rng(config.seed, stream_offset, block)
-
-    a = model.a
-    AT = model.A.T
-    SS = model.prepared.SS
-    SgT = model.Sigma.T
-    h, HT = strategy.h, strategy.H.T
 
     if config.stationary_start:
         x = _normals(rng, (BLOCK, n), anti)[:rows] @ tr.x0_sqrt.T
@@ -239,34 +252,34 @@ def _march_block(model, strategy, config, tr, steps, block, rows, stream_offset)
         x = np.zeros((rows, n))
 
     u = np.zeros(rows)
-    for c0 in range(0, steps, CHUNK):
-        L = min(CHUNK, steps - c0)
-        dW = _normals(rng, (BLOCK, CHUNK, m + n), anti)[:rows, :L] * sqdt
+    for start in range(0, steps, CHUNK):
+        L = min(CHUNK, steps - start)
+        dW = _normals(rng, (BLOCK, CHUNK, G.shape[0]), anti)[:rows, :L] * sqdt
         nu = dW @ tr.nu_from_dw
-        if tr.resid_sqrt is not None:
-            nu = nu + _normals(rng, (BLOCK, CHUNK, n), anti)[:rows, :L] @ tr.resid_sqrt.T
-        path = _factor_path(x, nu, tr.phi)
-        xleft = np.concatenate([x[:, None], path[:, :-1]], axis=1)
-        x = path[:, -1]
+        if tr.nu_from_z is not None:
+            nu += _normals(rng, (BLOCK, CHUNK, n), anti)[:rows, :L] @ tr.nu_from_z
+        path = _factor_path(x, nu.transpose(1, 0, 2), tr.phi)
+        xleft, x = path[:-1], path[-1]
 
-        w = h + xleft @ HT                          # (rows, L, m)
-        mu = a + xleft @ AT
-        drift = np.einsum("plm,plm->pl", w, mu)
-        quad = np.einsum("plm,plm->pl", w @ SS, w)
-        shock = np.einsum("plm,plm->pl", w, dW @ SgT)
-        inc = (drift - 0.5 * quad) * dt + shock
+        Y = dW.transpose(1, 0, 2) @ G               # level shock, then tilt shocks
+        tilt = xleft @ C2
+        tilt += c1
+        tilt += Y[..., 1:]
+        inc = np.einsum("lpi,lpi->lp", xleft, tilt)     # (L, rows)
+        inc += Y[..., 0]
+        inc += c0
 
         bad = ~np.isfinite(inc)
         if bad.any():
-            j, p = divmod(int(np.argmax(bad.T)), rows)   # earliest step, then lowest path
+            j, p = divmod(int(np.argmax(bad)), rows)   # earliest step, then lowest path
             raise SimulationError(
-                f"non-finite value at step {c0 + j}, path {block * BLOCK + p}"
+                f"non-finite value at step {start + j}, path {block * BLOCK + p}"
             )
-        u += inc.sum(axis=1)
+        u += inc.sum(axis=0)
         if not np.all(np.isfinite(x)):
             p = int(np.argwhere(~np.isfinite(x))[0, 0])
             raise SimulationError(
-                f"non-finite factor state by step {c0 + L}, path {block * BLOCK + p}"
+                f"non-finite factor state by step {start + L}, path {block * BLOCK + p}"
             )
     return u, x
 
@@ -293,6 +306,7 @@ def simulate(model: FactorModel, strategy: Strategy, config: SimConfig,
         raise ValueError("horizon shorter than one step")
 
     tr = _transition(model, config.dt, config.factor_scheme)
+    coef = _increment(model, strategy, tr, config.dt)
     paths, n = config.paths, model.n
     u = np.empty(paths)
     xf = np.empty((paths, n))
@@ -302,7 +316,7 @@ def simulate(model: FactorModel, strategy: Strategy, config: SimConfig,
         lo = block * BLOCK
         rows = min(BLOCK, paths - lo)
         u[lo:lo + rows], xf[lo:lo + rows] = _march_block(
-            model, strategy, config, tr, steps, block, rows, stream_offset)
+            coef, config, tr, steps, block, rows, stream_offset)
 
     if threads > 1 and nblocks > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
@@ -410,8 +424,8 @@ def simulate_discrete(model: FactorModel, months: int, seed: int = 0,
     x0 = tr.x0_sqrt @ rng.standard_normal(n)
     Z = rng.standard_normal((months, model.m + n))
     Z2 = rng.standard_normal((months, n))
-    levels = _factor_path(x0, Z @ tr.nu_from_dw + Z2 @ tr.resid_sqrt.T, tr.phi)
-    prev = np.vstack([x0, levels[:-1]])
+    path = _factor_path(x0, Z @ tr.nu_from_dw + Z2 @ tr.nu_from_z, tr.phi)
+    prev, levels = path[:-1], path[1:]
     returns = model.a + prev @ model.A.T + Z @ model.Sigma.T
 
     base = start_year * 12 + (start_month - 1)

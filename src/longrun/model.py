@@ -220,6 +220,8 @@ def validate_model(a, A, B, Sigma, Lambda) -> FactorModel:
 
 def _numeric(name: str, value) -> np.ndarray:
     try:
+        if np.asarray(value).dtype.kind in "SU":
+            raise TypeError("found a string")
         return np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ModelValidationError(
@@ -342,6 +344,6 @@ def load_model(path) -> FactorModel:
     """Read and validate a schema-v1 model JSON file."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ModelValidationError([f"invalid JSON in {path}: {exc}"]) from exc
     return model_from_dict(doc)

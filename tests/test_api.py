@@ -1,5 +1,8 @@
 """The public API: the exact set of exported names, each documented."""
 
+import subprocess
+import sys
+
 import longrun
 
 PUBLIC = [
@@ -31,3 +34,9 @@ def test_public_names_resolve_and_are_documented():
         doc = obj.__doc__ or ""
         # a dataclass without a docstring gets its signature as __doc__
         assert doc.strip() and not doc.startswith(f"{name}("), name
+
+
+def test_import_leaves_out_scipy_signal():
+    probe = "import sys, longrun; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

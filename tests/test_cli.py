@@ -157,6 +157,9 @@ MALFORMED_INPUTS = {
     "A-ragged": ("moments", _corrupt_model(A=[[-0.01], [0.0, 1.0]])),
     "model-not-utf8": ("moments", _corrupt_model()[:-1] + b', "note": "\xff"}'),
     "csv-not-utf8": ("calibrate", b"date,excess_return_1,factor_1\n1990-01,0.1\xff,0.2\n"),
+    "model-deep-nesting": ("moments", b"[" * 100_000),
+    "csv-huge-field": ("calibrate", b"date,excess_return_1,factor_1\n1990-01,0.1," + b"1" * 131_073 + b"\n"),
+    "a-numeric-string": ("moments", _corrupt_model(a=["0.01"])),
 }
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import scalar_strategy
+from conftest import random_stable_model, scalar_strategy
 from longrun import (
     DimensionError,
     FactorModel,
@@ -19,7 +19,8 @@ from longrun import (
     stationary_covariance,
     timeseries_to_csv,
 )
-from longrun.mc import BLOCK, recommended_horizon
+from longrun import mc
+from longrun.mc import BLOCK, CHUNK, recommended_horizon
 
 FAST = SimConfig(dt=0.25, horizon=100.0, paths=512, seed=3)
 
@@ -74,7 +75,9 @@ def test_thread_count_does_not_change_results(model, hold_only):
 
     # three blocks, so the worker pool runs; every field, paths kept
     cfg = SimConfig(dt=0.5, horizon=5.0, paths=2 * BLOCK + 100, seed=3, keep_paths=True)
-    for mdl, strat in ((model, hold_only), two_factor()):
+    wide = random_stable_model(np.random.default_rng(7), 3, 2)
+    tilted = Strategy(h=np.array([0.4, -0.2, 0.3]), H=np.full((3, 2), 0.1))
+    for mdl, strat in ((model, hold_only), two_factor(), (wide, tilted)):
         a = simulate(mdl, strat, cfg, threads=1)
         b = simulate(mdl, strat, cfg, threads=3)
         for field in dataclasses.fields(PathStats):
@@ -290,3 +293,73 @@ def test_two_factor_standard_errors_match_kept_paths(antithetic):
         for k in range(2):
             assert_allclose(stats.mean_uxx_se[j, k], column_se(u * x[:, j] * x[:, k], antithetic),
                             rtol=1e-12)
+
+
+def reference_march(model, strategy, config):
+    """Terminal (u, x) of one block, one step at a time through the direct formula.
+
+    Draws follow the documented layout: the stationary start, then per
+    CHUNK-step slab the Brownian normals and, for the exact scheme, the
+    extra factor normals, each generated for a full block and sliced.  The
+    increment is w'(mu dt + Sigma dW) - w'SS'w dt / 2 with w = h + Hx and
+    mu = a + Ax, at the step's left endpoint.
+    """
+    m, n, dt, rows = model.m, model.n, config.dt, config.paths
+    tr = mc._transition(model, dt, config.factor_scheme)
+    rng = mc._block_rng(config.seed, 0, 0)
+
+    def normals(shape):
+        Z = rng.standard_normal(shape)
+        if config.antithetic:
+            Z[1::2] = -Z[0::2]
+        return Z[:rows]
+
+    SS = model.Sigma @ model.Sigma.T
+    x = normals((BLOCK, n)) @ tr.x0_sqrt.T
+    u = np.zeros(rows)
+    steps = int(round(config.horizon / dt))
+    for start in range(0, steps, CHUNK):
+        dW = normals((BLOCK, CHUNK, m + n)) * np.sqrt(dt)
+        extra = normals((BLOCK, CHUNK, n)) if tr.nu_from_z is not None else None
+        for j in range(min(CHUNK, steps - start)):
+            w = strategy.h + x @ strategy.H.T
+            mu = model.a + x @ model.A.T
+            drift = np.einsum("pm,pm->p", w, mu)
+            quad = np.einsum("pm,pm->p", w @ SS, w)
+            shock = np.einsum("pm,pm->p", w, dW[:, j] @ model.Sigma.T)
+            u += (drift - 0.5 * quad) * dt + shock
+            nu = dW[:, j] @ tr.nu_from_dw
+            if extra is not None:
+                nu = nu + extra[:, j] @ tr.nu_from_z
+            x = x @ tr.phi.T + nu
+    return u, x
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 2), (3, 2), (2, 3)])
+def test_increment_matches_direct_formula(shape):
+    m, n = shape
+    rng = np.random.default_rng(10 * m + n)
+    model = random_stable_model(rng, m, n)
+    strategy = Strategy(h=rng.normal(scale=0.5, size=m), H=rng.normal(scale=0.3, size=(m, n)))
+    for scheme in ("exact", "euler"):
+        for antithetic in (False, True):
+            # 300 steps: one full slab and a partial last one
+            cfg = SimConfig(dt=0.1, horizon=30.0, paths=64, seed=5, factor_scheme=scheme,
+                            antithetic=antithetic, keep_paths=True)
+            stats = simulate(model, strategy, cfg)
+            u, x = reference_march(model, strategy, cfg)
+            label = (scheme, antithetic)
+            assert np.abs(stats.final_u - u).max() <= 1e-12 * np.abs(u).max(), label
+            assert np.abs(stats.final_x - x).max() <= 1e-12 * np.abs(x).max(), label
+
+
+def test_single_factor_path_is_the_linear_filter():
+    from scipy.signal import lfilter
+
+    rng = np.random.default_rng(2)
+    x0, nu = rng.normal(size=(50, 1)), rng.normal(size=(CHUNK, 50, 1))
+    c = 0.97
+    path = mc._factor_path(x0, nu, np.array([[c]]))
+    expected, _ = lfilter([1.0], [1.0, -c], nu[..., 0], axis=0, zi=c * x0[:, 0][None])
+    assert np.array_equal(path[0], x0)
+    assert np.array_equal(path[1:, :, 0], expected)
