@@ -165,7 +165,7 @@ def _emit(args, verb: str, files: dict, inputs=()) -> None:
         (out_dir / name).write_bytes(data)
         hashes[name] = hashlib.sha256(data).hexdigest()
     arguments = {
-        k: v for k, v in vars(args).items() if k not in ("func", "out", "raw_argv")
+        k: v for k, v in vars(args).items() if k not in ("func", "out", "raw_argv", "parser")
     }
     manifest = {
         "v": 1,
@@ -182,6 +182,8 @@ def _emit(args, verb: str, files: dict, inputs=()) -> None:
 
 def cmd_calibrate(args) -> int:
     if args.from_tables:
+        if args.csv is not None:
+            raise UsageError(f"CSV path {args.csv!r} not read with --from-tables")
         report = report_from_estimates(reference_estimates(), persistence_map=args.persistence_map)
         inputs = []
     else:
@@ -215,7 +217,7 @@ def _reject_unread(args, names, when: str) -> None:
     (argv is not searched: it may hold an abbreviation such as ``--pa``.)
     """
     required = [f"--{k}={getattr(args, k)}" for k in ("model", "mode") if hasattr(args, k)]
-    default = build_parser().parse_args([args.command, *required])
+    default = args.parser.parse_args([args.command, *required])
     given = [f"--{name.replace('_', '-')}" for name in names
              if getattr(args, name) != getattr(default, name)]
     if given:
@@ -276,7 +278,7 @@ def cmd_moments(args) -> int:
             for name, (c, est, se, z) in checks.items()
         }
         doc["check_config"] = _record(
-            cfg, skip=("factor_scheme", "antithetic", "stationary_start", "keep_paths"))
+            cfg, skip=("factor_scheme", "antithetic", "stationary_start"))
         for name, (c, est, se, z) in checks.items():
             print(f"check {name}: closed={_fmt(c)} mc={_fmt(est)} se={_fmt(se)} z={_fmt(z)}")
 
@@ -377,10 +379,10 @@ def cmd_simulate(args) -> int:
         raise UsageError("--dump-paths needs --out")
     strategy = _strategy_from_flags(model, args)
     cfg = _sim_config(args, factor_scheme=args.scheme, antithetic=args.antithetic,
-                      stationary_start=not args.zero_start, keep_paths=args.dump_paths)
+                      stationary_start=not args.zero_start)
     stats = simulate(model, strategy, cfg, threads=args.threads)
     doc = {
-        "config": _record(cfg, skip=("keep_paths",)),
+        "config": _record(cfg),
         "effective_horizon": stats.horizon,
         **_record(stats, skip=("horizon", "dt", "paths", "final_u", "final_x")),
         "strategy": _record(strategy),
@@ -512,6 +514,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     args.raw_argv = list(argv)
+    args.parser = parser
     try:
         with warnings.catch_warnings():     # library warnings without their source location
             warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)

@@ -8,12 +8,13 @@ with the theta coefficient exactly theta/4.  W is quartic and nonconvex in
 (h, H) jointly, but for fixed H a concave quadratic in h: the Lyapunov
 offset of the variance rate depends on H only, and the shock loading
 Y = G h + y0 is affine in h.  So the optimizer scans the m*n entries of H
-alone, refines the best cells by BFGS, and solves for h at each point.
-The whole scan (grid_points^(m n) points when m n <= 2, else 4,096)
-is h-solved and scored in one call of the batched moment engine
-(:mod:`longrun.moments`).  W is a quartic polynomial in (h, H), so a 5-point
-central difference is its exact gradient up to rounding; each BFGS step and
-the stationarity test take theirs from one engine call.
+alone, refines the best local_restarts scan points by BFGS, and solves for
+h at each point.  The whole scan (a grid_points^(m n) mesh when m n <= 2,
+else a 4,096-point Latin hypercube) is h-solved and scored in one call of
+the batched moment engine (:mod:`longrun.moments`).  W is a quartic
+polynomial in (h, H), so a 5-point central difference is its exact gradient
+up to rounding; each BFGS step and the stationarity test take theirs from
+one engine call.
 
 Unboundedness is decided exactly.  With SS' = Sigma Sigma', D the
 stationary factor covariance and w = B^-T gamma:
@@ -76,11 +77,12 @@ class UnboundedCriterionError(RuntimeError):
 class OptimizerConfig:
     """Grid-scan and refinement settings for the search over H.
 
-    ``grid_bounds`` and ``grid_points`` apply to every entry of H (h is solved
-    for).  ``local_restarts`` distinct grid cells seed BFGS runs of at most
+    ``grid_bounds`` applies to every entry of H (h is solved for).
+    ``grid_points`` only sets the mesh resolution per axis, used when
+    m*n <= 2; ``seed`` only seeds the Latin hypercube used above that.  The
+    best ``local_restarts`` scan points seed BFGS runs of at most
     ``max_iterations`` iterations.  ``simplex_tolerance`` only sets the
     relative tolerance within which refined values tie (see :func:`optimize`).
-    ``seed`` only matters when m*n > 2, where the scan is a Latin hypercube.
     """
 
     grid_bounds: tuple = (-3.0, 3.0)
@@ -243,8 +245,8 @@ def optimize(model: FactorModel, params: CriterionParams,
              config: OptimizerConfig | None = None) -> OptimizationResult:
     """Maximize the criterion over (h, H).
 
-    Grid scan over H, then BFGS over H from the best ``local_restarts``
-    distinct cells; every point takes the maximizing h for its H.  Raises,
+    Scan over H, then BFGS over H from the best ``local_restarts`` scan
+    points; every point takes the maximizing h for its H.  Raises,
     before scoring a strategy, :class:`UnboundedCriterionError` when W has
     no maximum (see the module docstring), :class:`~longrun.model.ModelValidationError`
     when Sigma Sigma' is not positive definite, and :class:`~longrun.linalg.DimensionError`
@@ -274,14 +276,7 @@ def optimize(model: FactorModel, params: CriterionParams,
     points = _scan_points(config, m * n)
     values = score(np.hstack([h_star(points.reshape(-1, m, n)), points]))
 
-    lo, hi = config.grid_bounds
-    spacing = (hi - lo) / max(config.grid_points - 1, 1)
-    starts = []
-    for cand in points[np.argsort(-values, kind="stable")]:
-        if all(np.linalg.norm(cand - s) > 0.5 * spacing for s in starts):
-            starts.append(cand)
-        if len(starts) >= config.local_restarts:
-            break
+    starts = points[np.argsort(-values, kind="stable")[:config.local_restarts]]
 
     def objective(Hx):
         # Envelope theorem: at h = h*(H), dW/dh = 0, so the partial gradient

@@ -74,8 +74,7 @@ class SimConfig:
     ``factor_scheme`` is "exact" (default) or "euler".  With
     ``stationary_start`` the initial factor state is drawn from the
     stationary law; otherwise it starts at zero.  ``antithetic`` pairs each
-    even path with a sign-flipped twin.  ``keep_paths`` returns the per-path
-    terminal values in the result.
+    even path with a sign-flipped twin.
     """
 
     dt: float
@@ -85,7 +84,6 @@ class SimConfig:
     factor_scheme: str = "exact"
     antithetic: bool = False
     stationary_start: bool = True
-    keep_paths: bool = False
 
     def __post_init__(self):
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
@@ -108,7 +106,7 @@ class PathStats:
     variance_rate * horizon + O(1); ``cov_ux`` (centered) estimates the
     wealth-factor covariance limit; ``mean_uxx`` estimates the raw second
     moment E[u x x'] ~ slope * t + offset.  Each estimate carries a standard
-    error.  ``final_u``/``final_x`` are populated when keep_paths is set.
+    error.  ``final_u``/``final_x`` hold the per-path terminal values.
     """
 
     horizon: float
@@ -122,8 +120,8 @@ class PathStats:
     cov_ux_se: np.ndarray
     mean_uxx: np.ndarray
     mean_uxx_se: np.ndarray
-    final_u: np.ndarray | None = None
-    final_x: np.ndarray | None = None
+    final_u: np.ndarray
+    final_x: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -213,7 +211,7 @@ def _factor_path(x: np.ndarray, nu: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return out
 
 
-def _increment(model: FactorModel, strategy: Strategy, tr: _Transition, dt: float):
+def _increment(model: FactorModel, strategy: Strategy, dt: float):
     """Per-step coefficients (c0, c1, C2, G) of the log-wealth increment.
 
     From factor state x with Brownian increment dW the increment is
@@ -306,7 +304,7 @@ def simulate(model: FactorModel, strategy: Strategy, config: SimConfig,
         raise ValueError("horizon shorter than one step")
 
     tr = _transition(model, config.dt, config.factor_scheme)
-    coef = _increment(model, strategy, tr, config.dt)
+    coef = _increment(model, strategy, config.dt)
     paths, n = config.paths, model.n
     u = np.empty(paths)
     xf = np.empty((paths, n))
@@ -341,8 +339,8 @@ def simulate(model: FactorModel, strategy: Strategy, config: SimConfig,
         cov_ux_se=_mean_se(cov_prod, anti),
         mean_uxx=uxx.mean(axis=0),
         mean_uxx_se=_mean_se(uxx, anti),
-        final_u=u if config.keep_paths else None,
-        final_x=xf if config.keep_paths else None,
+        final_u=u,
+        final_x=xf,
     )
 
 
@@ -383,7 +381,7 @@ def estimate_asymptotics(model: FactorModel, strategy: Strategy, config: SimConf
         raise ValueError("horizon grid must be strictly increasing")
 
     runs = tuple(
-        simulate(model, strategy, replace(config, horizon=float(horizon), keep_paths=False),
+        simulate(model, strategy, replace(config, horizon=float(horizon)),
                  threads=threads, stream_offset=j)
         for j, horizon in enumerate(t)
     )
@@ -405,9 +403,8 @@ def estimate_asymptotics(model: FactorModel, strategy: Strategy, config: SimConf
     )
 
 
-def simulate_discrete(model: FactorModel, months: int, seed: int = 0,
-                      start_year: int = 1970, start_month: int = 1) -> TimeSeriesData:
-    """One sample path at the monthly frequency, in calibration units.
+def simulate_discrete(model: FactorModel, months: int, seed: int = 0) -> TimeSeriesData:
+    """One sample path at the monthly frequency, in calibration units, dated from 1970-01.
 
     The factor advances by the exact one-month transition; the return over
     month t is ``a + A x_{t-1}`` plus the month's Brownian shock, drawn
@@ -428,6 +425,5 @@ def simulate_discrete(model: FactorModel, months: int, seed: int = 0,
     prev, levels = path[:-1], path[1:]
     returns = model.a + prev @ model.A.T + Z @ model.Sigma.T
 
-    base = start_year * 12 + (start_month - 1)
-    dates = tuple(f"{(base + i) // 12:04d}-{(base + i) % 12 + 1:02d}" for i in range(months))
+    dates = tuple(f"{1970 + i // 12:04d}-{i % 12 + 1:02d}" for i in range(months))
     return TimeSeriesData(dates=dates, excess_returns=returns, factor_levels=levels)

@@ -219,9 +219,12 @@ def validate_model(a, A, B, Sigma, Lambda) -> FactorModel:
 
 
 def _numeric(name: str, value) -> np.ndarray:
+    # Element by element: float conversion would turn "1" into 1.0 and a
+    # boolean into 0.0/1.0, and a mixed list's dtype need not show either.
     try:
-        if np.asarray(value).dtype.kind in "SU":
-            raise TypeError("found a string")
+        for item in np.asarray(value, dtype=object).ravel():
+            if isinstance(item, (str, bool, np.bool_)):
+                raise TypeError("found a string" if isinstance(item, str) else "found a boolean")
         return np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ModelValidationError(

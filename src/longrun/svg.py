@@ -17,11 +17,11 @@ _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#17becf")
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 16, 30, 44
 
 
-def _ticks(lo: float, hi: float, count: int = 5):
+def _ticks(lo: float, hi: float):
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo == hi:
         pad = 1.0 if lo == 0 else abs(lo) * 0.5
         lo, hi = lo - pad, hi + pad
-    return np.linspace(lo, hi, count), lo, hi
+    return np.linspace(lo, hi, 5), lo, hi
 
 
 def _fmt(v: float) -> str:
@@ -29,11 +29,12 @@ def _fmt(v: float) -> str:
     return "0" if out == "-0" else out
 
 
-def line_plot(x, series, labels=(), title="", xlabel="", ylabel="") -> str:
+def line_plot(x, series, labels, title, xlabel, ylabel) -> str:
     """Render one or more y-series against a common x-axis as a 720 x 480 SVG.
 
-    ``series`` is a sequence of arrays the same length as ``x``; non-finite
-    points break the polyline rather than being interpolated over.
+    ``series`` is a sequence of arrays the same length as ``x``, with one
+    legend entry in ``labels`` each; non-finite points break the polyline
+    rather than being interpolated over.
     """
     x = np.asarray(x, dtype=float)
     ys = [np.asarray(s, dtype=float) for s in series]
@@ -43,7 +44,7 @@ def line_plot(x, series, labels=(), title="", xlabel="", ylabel="") -> str:
         if s.shape != x.shape:
             raise ValueError(f"series shape {s.shape} does not match x shape {x.shape}")
 
-    finite_y = np.concatenate([s[np.isfinite(s)] for s in ys]) if ys else np.array([])
+    finite_y = np.concatenate([s[np.isfinite(s)] for s in ys])
     ylo = float(finite_y.min()) if finite_y.size else 0.0
     yhi = float(finite_y.max()) if finite_y.size else 1.0
     xt, xlo, xhi = _ticks(float(x.min()), float(x.max()))
@@ -66,10 +67,9 @@ def line_plot(x, series, labels=(), title="", xlabel="", ylabel="") -> str:
         f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{iw}" height="{ih}" '
         'fill="none" stroke="#333" stroke-width="1"/>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{width / 2:.1f}" y="18" text-anchor="middle" font-size="13">{title}</text>'
-        )
+    parts.append(
+        f'<text x="{width / 2:.1f}" y="18" text-anchor="middle" font-size="13">{title}</text>'
+    )
     for v in xt:
         X = px(v)
         parts.append(f'<line x1="{X:.1f}" y1="{_MARGIN_T + ih}" x2="{X:.1f}" '
@@ -85,12 +85,10 @@ def line_plot(x, series, labels=(), title="", xlabel="", ylabel="") -> str:
         if ylo < 0.0 < yhi and abs(v) < 1e-12 * max(abs(ylo), abs(yhi)):
             parts.append(f'<line x1="{_MARGIN_L}" y1="{Y:.1f}" x2="{_MARGIN_L + iw}" '
                          f'y2="{Y:.1f}" stroke="#bbb" stroke-dasharray="4,3"/>')
-    if xlabel:
-        parts.append(f'<text x="{_MARGIN_L + iw / 2:.1f}" y="{height - 8}" '
-                     f'text-anchor="middle">{xlabel}</text>')
-    if ylabel:
-        parts.append(f'<text x="14" y="{_MARGIN_T + ih / 2:.1f}" text-anchor="middle" '
-                     f'transform="rotate(-90 14 {_MARGIN_T + ih / 2:.1f})">{ylabel}</text>')
+    parts.append(f'<text x="{_MARGIN_L + iw / 2:.1f}" y="{height - 8}" '
+                 f'text-anchor="middle">{xlabel}</text>')
+    parts.append(f'<text x="14" y="{_MARGIN_T + ih / 2:.1f}" text-anchor="middle" '
+                 f'transform="rotate(-90 14 {_MARGIN_T + ih / 2:.1f})">{ylabel}</text>')
 
     for k, s in enumerate(ys):
         color = _COLORS[k % len(_COLORS)]
@@ -111,12 +109,11 @@ def line_plot(x, series, labels=(), title="", xlabel="", ylabel="") -> str:
             else:
                 parts.append(f'<polyline points="{" ".join(seg)}" fill="none" '
                              f'stroke="{color}" stroke-width="1.5"/>')
-        if k < len(labels):
-            ly = _MARGIN_T + 14 + 14 * k
-            lx = _MARGIN_L + iw - 110
-            parts.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 18}" y2="{ly - 4}" '
-                         f'stroke="{color}" stroke-width="1.5"/>')
-            parts.append(f'<text x="{lx + 23}" y="{ly}">{labels[k]}</text>')
+        ly = _MARGIN_T + 14 + 14 * k
+        lx = _MARGIN_L + iw - 110
+        parts.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 18}" y2="{ly - 4}" '
+                     f'stroke="{color}" stroke-width="1.5"/>')
+        parts.append(f'<text x="{lx + 23}" y="{ly}">{labels[k]}</text>')
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

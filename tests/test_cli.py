@@ -160,6 +160,9 @@ MALFORMED_INPUTS = {
     "model-deep-nesting": ("moments", b"[" * 100_000),
     "csv-huge-field": ("calibrate", b"date,excess_return_1,factor_1\n1990-01,0.1," + b"1" * 131_073 + b"\n"),
     "a-numeric-string": ("moments", _corrupt_model(a=["0.01"])),
+    "a-boolean": ("moments", _corrupt_model(a=[True])),
+    "Sigma-boolean-entry": ("moments", _corrupt_model(Sigma=[[0.044249, False]])),
+    "Lambda-boolean-entry": ("moments", _corrupt_model(Lambda=[[0, True]])),
 }
 
 
@@ -368,6 +371,7 @@ def test_calibrate_rejects_threads_exit_1(capsys):
     ["calibrate", "--from-tables", "--seed", "1"],
     ["calibrate", "--from-tables", "--strict"],
     ["calibrate", "--from-tables", "--model", "m.json"],
+    ["calibrate", "--from-tables", "in.csv"],
     ["sweep", "--mode", "H", "--threads", "2"],
     ["optimize", "--threads", "2"],
     ["optimize", "--strict"],

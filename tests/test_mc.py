@@ -74,7 +74,7 @@ def test_thread_count_does_not_change_results(model, hold_only):
     assert np.array_equal(a.cov_ux, b.cov_ux)
 
     # three blocks, so the worker pool runs; every field, paths kept
-    cfg = SimConfig(dt=0.5, horizon=5.0, paths=2 * BLOCK + 100, seed=3, keep_paths=True)
+    cfg = SimConfig(dt=0.5, horizon=5.0, paths=2 * BLOCK + 100, seed=3)
     wide = random_stable_model(np.random.default_rng(7), 3, 2)
     tilted = Strategy(h=np.array([0.4, -0.2, 0.3]), H=np.full((3, 2), 0.1))
     for mdl, strat in ((model, hold_only), two_factor(), (wide, tilted)):
@@ -94,7 +94,7 @@ def test_seed_and_stream_offset_decorrelate(model, hold_only):
 
 
 def test_var_matches_kept_paths(model, hold_only):
-    cfg = SimConfig(dt=0.25, horizon=50.0, paths=700, seed=9, keep_paths=True)
+    cfg = SimConfig(dt=0.25, horizon=50.0, paths=700, seed=9)
     stats = simulate(model, hold_only, cfg)
     assert stats.final_u.shape == (700,)
     assert stats.final_x.shape == (700, 1)
@@ -103,8 +103,7 @@ def test_var_matches_kept_paths(model, hold_only):
 
 
 def test_antithetic_mirrors_factor_paths(model, hold_only):
-    cfg = SimConfig(dt=0.5, horizon=20.0, paths=64, seed=2, antithetic=True,
-                    keep_paths=True)
+    cfg = SimConfig(dt=0.5, horizon=20.0, paths=64, seed=2, antithetic=True)
     stats = simulate(model, hold_only, cfg)
     assert_allclose(stats.final_x[1::2], -stats.final_x[0::2], atol=1e-14)
     stats = simulate(*two_factor(), cfg)
@@ -126,7 +125,7 @@ def test_deterministic_market_is_exact():
 def test_stationary_start_hits_invariant_law(model, hold_only):
     # the marginal law of X is time-invariant from the first step, so even a
     # short horizon must reproduce the asymptotic factor covariance
-    cfg = SimConfig(dt=0.05, horizon=5.0, paths=20_000, seed=1, keep_paths=True)
+    cfg = SimConfig(dt=0.05, horizon=5.0, paths=20_000, seed=1)
     stats = simulate(model, hold_only, cfg, threads=2)
     delta = stationary_covariance(model)[0, 0]
     x = stats.final_x[:, 0]
@@ -138,7 +137,7 @@ def test_stationary_start_hits_invariant_law(model, hold_only):
 
 def test_zero_start_is_not_stationary(model, hold_only):
     cfg = SimConfig(dt=0.05, horizon=2.0, paths=4000, seed=1,
-                    stationary_start=False, keep_paths=True)
+                    stationary_start=False)
     stats = simulate(model, hold_only, cfg)
     delta = stationary_covariance(model)[0, 0]
     # far less spread than the invariant law this early in the relaxation
@@ -243,9 +242,9 @@ def test_discrete_series_deterministic(model):
 
 
 def test_discrete_series_dates_and_shapes(model):
-    data = simulate_discrete(model, 30, seed=0, start_year=1999, start_month=11)
-    assert data.dates[0] == "1999-11"
-    assert data.dates[2] == "2000-01"
+    data = simulate_discrete(model, 30, seed=0)
+    assert data.dates[0] == "1970-01"
+    assert data.dates[12] == "1971-01"
     assert data.excess_returns.shape == (30, 1)
     assert data.factor_levels.shape == (30, 1)
 
@@ -268,7 +267,7 @@ def test_discrete_series_minimum_length(model):
 def test_draw_layout_pinned(model):
     # values recorded from the released draw layout; a change to the
     # generator, the block/chunk grouping or the draw order fails here
-    cfg = SimConfig(dt=0.5, horizon=10.0, paths=64, seed=11, keep_paths=True)
+    cfg = SimConfig(dt=0.5, horizon=10.0, paths=64, seed=11)
     one = simulate(model, scalar_strategy(1.0, 0.5), cfg)
     assert_allclose(one.mean_u, -0.32130010051907165, rtol=1e-12)
     assert_allclose(one.var_u, 0.4251350539472187, rtol=1e-12)
@@ -283,8 +282,7 @@ def test_draw_layout_pinned(model):
 
 @pytest.mark.parametrize("antithetic", [False, True])
 def test_two_factor_standard_errors_match_kept_paths(antithetic):
-    cfg = SimConfig(dt=0.5, horizon=20.0, paths=600, seed=5, antithetic=antithetic,
-                    keep_paths=True)
+    cfg = SimConfig(dt=0.5, horizon=20.0, paths=600, seed=5, antithetic=antithetic)
     stats = simulate(*two_factor(), cfg)
     u, x = stats.final_u, stats.final_x
     du, dx = u - u.mean(), x - x.mean(axis=0)
@@ -345,7 +343,7 @@ def test_increment_matches_direct_formula(shape):
         for antithetic in (False, True):
             # 300 steps: one full slab and a partial last one
             cfg = SimConfig(dt=0.1, horizon=30.0, paths=64, seed=5, factor_scheme=scheme,
-                            antithetic=antithetic, keep_paths=True)
+                            antithetic=antithetic)
             stats = simulate(model, strategy, cfg)
             u, x = reference_march(model, strategy, cfg)
             label = (scheme, antithetic)
