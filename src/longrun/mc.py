@@ -12,19 +12,29 @@ factor schemes run one recursion for every n, x_j = phi x_{j-1} + nu_j, one
 matrix product per step.  The default is exact: phi = e^{B dt}, and nu, of
 covariance ``Delta - phi Delta phi'``, is drawn jointly with the Brownian
 increment through the exact conditional law (cov(nu, dW) = B^{-1}(phi - I)
-Lambda) with n extra normals per step.  With a stationary start this makes
-the sample mean of u(T) an unbiased estimate of growth_rate * T at any step
-size; variances and covariances carry only O(dt) discretization error.  The
-Euler scheme, for convergence studies, is the same recursion with phi = I +
-B dt and nu = Lambda dW, and draws nothing extra.
+Lambda).  With a stationary start this makes the sample mean of u(T) an
+unbiased estimate of growth_rate * T at any step size; variances and
+covariances carry only O(dt) discretization error.  The Euler scheme, for
+convergence studies, is the same recursion with phi = I + B dt and
+nu = Lambda dW.  The increment reads dW only through Y = dW Sigma'[h H], so
+each step draws k = min(m + n [+ n for exact], 1 + 2n) standard normals z
+and maps them by one upper-triangular matrix F (:func:`_shock_map`) to
+[nu | Y], with exactly the joint law of the scheme.  F[:n, :n] depends only
+on the model and the step, so nu reads the first n normals the same way for
+every strategy: at one seed, all strategies share their factor paths.
 
-Reproducibility contract: the normal draws consumed by path i at step j are
-a function of (seed, stream offset, i, j) only, independent of the total
-path count, the thread count, and scheduling.  Paths are grouped in fixed
-blocks of ``BLOCK``, each block owning one Philox stream keyed by
-(seed, stream offset, block index); draws are generated in fixed
-``CHUNK``-step slabs always sized for a full block and sliced.  Identical
-inputs therefore give bit-identical :class:`PathStats`.
+Reproducibility contract, version 2: the normal draws consumed by path i at
+step j are a function of (seed, stream offset, i, j) only, independent of
+the total path count, the thread count, and scheduling.  Paths are grouped
+in fixed blocks of ``BLOCK``, each block owning one SFC64 stream seeded by
+``SeedSequence([seed, stream offset, block index])``.  A block's stream
+gives its stationary-start normals, shaped (BLOCK, n), then per step one
+(BLOCK, k) array, always for the full block and sliced to its paths.  Steps
+are drawn ``CHUNK`` at a time as one (L, BLOCK, k) array, which holds the
+same normals as L single steps, so ``CHUNK`` sets only memory use.
+Identical inputs therefore give bit-identical :class:`PathStats`.
+:func:`simulate_discrete` draws from its own Philox stream, unchanged by
+version 2.
 """
 
 from __future__ import annotations
@@ -52,14 +62,16 @@ __all__ = [
     "recommended_horizon",
 ]
 
-# Fixed grouping constants.  Both are part of the draw-position contract
-# described in the module docstring; changing either changes every stream.
+# Paths are grouped in blocks of ``BLOCK``, each with its own stream; this is
+# part of the draw-position contract described in the module docstring.  A
+# block's draws are generated ``CHUNK`` steps at a time, which sets only the
+# memory a slab uses: the draws themselves do not depend on it.
 BLOCK = 2048
 CHUNK = 256
 
-_MASK32 = 0xFFFFFFFF
-# stream-offset tag for the single-path monthly generator, keeping its draws
-# disjoint from the path simulator's blocks at the same seed
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+# Philox key tag of the single-path monthly generator, which keeps the
+# stream it has always drawn from
 _DISCRETE_TAG = 0xD15C
 
 
@@ -146,27 +158,33 @@ class AsymptoticEstimates:
 
 
 def recommended_horizon(model: FactorModel) -> float:
-    """100 times the slowest factor half-life: long enough for the limits."""
+    """100 times the slowest factor half-life, ``100 ln 2 / |max Re eig(B)|``.
+
+    By then the factor state has forgotten its start, but the O(1) terms of
+    the finite-horizon moments are not negligible against the O(T) ones: on
+    the reference model with (h, H) = (1, 0), the constant term of
+    Var[u(T)] is still about 1.4% of variance_rate * T, near one standard
+    error of ``var_u`` at 10^4 paths.  That bias, in z units, grows like the
+    square root of the path count.
+    """
     eigs = np.linalg.eigvals(model.B).real
     return float(100.0 * math.log(2.0) / abs(eigs.max()))
 
 
 def _block_rng(seed: int, stream_offset: int, block: int) -> np.random.Generator:
-    key = np.array(
-        [seed & 0xFFFFFFFFFFFFFFFF,
-         ((stream_offset & _MASK32) << 32) | (block & _MASK32)],
-        dtype=np.uint64,
-    )
-    return np.random.Generator(np.random.Philox(key=key))
+    """The SFC64 stream of one block of paths; the seed is taken modulo 2^64."""
+    key = np.random.SeedSequence([seed & _MASK64, stream_offset, block])
+    return np.random.Generator(np.random.SFC64(key))
 
 
 @dataclass(frozen=True)
 class _Transition:
     """One factor step ``x_j = x_{j-1} phi' + nu_j`` and the law of its start.
 
-    ``nu = dW @ nu_from_dw + Z @ nu_from_z`` (both maps C-contiguous, for
-    speed) with Z one extra normal per factor, drawn only when ``nu_from_z``
-    is not None; ``x0_sqrt`` maps standard normals to the stationary law.
+    ``nu = dW @ nu_from_dw + Z @ nu_from_z`` with Z one extra normal per
+    factor (``nu_from_z`` is None for the Euler scheme, which needs none);
+    :func:`_shock_map` folds both maps into one.  ``x0_sqrt`` maps standard
+    normals to the stationary law.
     """
 
     phi: np.ndarray
@@ -190,10 +208,13 @@ def _transition(model: FactorModel, dt: float, scheme: str) -> _Transition:
 
 
 def _normals(rng: np.random.Generator, shape, antithetic: bool) -> np.ndarray:
-    """Standard normals of ``shape``; antithetic pairs flip the odd rows' signs."""
+    """Standard normals of ``shape``, paths on the second-to-last axis.
+
+    Antithetic pairs flip the odd paths' signs.
+    """
     Z = rng.standard_normal(shape)
     if antithetic:
-        Z[1::2] = -Z[0::2]
+        Z[..., 1::2, :] = -Z[..., 0::2, :]
     return Z
 
 
@@ -211,11 +232,12 @@ def _factor_path(x: np.ndarray, nu: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return out
 
 
-def _increment(model: FactorModel, strategy: Strategy, dt: float):
-    """Per-step coefficients (c0, c1, C2, G) of the log-wealth increment.
+def _increment(model: FactorModel, strategy: Strategy, tr: _Transition, dt: float):
+    """Per-step coefficients (c0, c1, C2, F) of the log-wealth increment.
 
     From factor state x with Brownian increment dW the increment is
-    ``c0 + c1'x + x'C2x + Y[0] + x'Y[1:]`` with ``Y = dW G``.
+    ``c0 + c1'x + x'C2x + Y[0] + x'Y[1:]`` with ``Y = dW G`` and
+    ``G = Sigma'[h H]``; ``F`` is the :func:`_shock_map` of G.
     """
     h, H, a, SS = strategy.h, strategy.H, model.a, model.prepared.SS
     with np.errstate(over="ignore", invalid="ignore"):
@@ -224,23 +246,53 @@ def _increment(model: FactorModel, strategy: Strategy, dt: float):
         c1 = (model.A.T @ h + H.T @ a - HSS @ h) * dt
         C2 = H.T @ model.A - 0.5 * HSS @ H
         C2 = 0.5 * (C2 + C2.T) * dt
-        G = model.Sigma.T @ np.column_stack([h, H])
-    return c0, c1, C2, G
+        F = _shock_map(tr, model.Sigma.T @ np.column_stack([h, H]), dt)
+    return c0, c1, C2, F
+
+
+def _shock_map(tr: _Transition, G: np.ndarray, dt: float) -> np.ndarray:
+    """Upper-triangular F with ``z @ F`` distributed as one step's [nu | dW G].
+
+    ``T = [T_nu | T_y]`` maps the step's standard normals (the Brownian
+    ones, then the exact scheme's extra ones) to [nu | Y = dW G].  F is the R
+    factor of T, so F'F = T'T and the law is exact, with k = min(rows of T,
+    1 + 2n) normals.  It is built in two stages, ``T_nu = Q R`` and then
+    the QR of the rows of ``Q'T_y`` below the first n, so that F[:n, :n] =
+    R depends only on the transition: ``nu`` reads the first n normals
+    through the same bits for every strategy.  (One QR of all of T does
+    not give that: LAPACK skips zero trailing columns, such as those of
+    H = 0, and the last bits of R move with them.)
+    """
+    n = tr.phi.shape[0]
+    sqdt = math.sqrt(dt)
+    T_nu, T_y = tr.nu_from_dw * sqdt, G * sqdt
+    if tr.nu_from_z is not None:
+        T_nu = np.vstack([T_nu, tr.nu_from_z])
+        T_y = np.vstack([T_y, np.zeros((n, G.shape[1]))])
+    Q, R = np.linalg.qr(T_nu, mode="complete")
+    rot = Q.T @ T_y
+    tail = np.linalg.qr(rot[n:], mode="r")
+    F = np.zeros((n + tail.shape[0], n + G.shape[1]))
+    F[:n, :n] = R[:n]
+    F[:n, n:] = rot[:n]
+    F[n:, n:] = tail
+    return F
 
 
 def _march_block(coef, config, tr, steps, block, rows, stream_offset):
     """Advance one block of paths to the terminal time.
 
     ``coef`` comes from :func:`_increment`.  Returns (u, x) of shapes (rows,)
-    and (rows, n).  Draw layout is fixed: [initial-state draws if
-    stationary] then per 256-step slab the Brownian draws followed by the
-    exact-transition extra draws, always generated at full block size and
-    sliced to ``rows``.  The factor path and the increment of each slab run
-    step-major, shaped (L, rows, .).
+    and (rows, n).  Draws follow contract v2 (module docstring): after the
+    (BLOCK, n) stationary-start normals, each slab of L steps is one
+    (L, BLOCK, k) array sliced to ``rows`` and run step-major.  ``z @ F =
+    [nu | Y]`` is taken in three column blocks (nu, the level shock Y[0],
+    the tilt shocks Y[1:]) so each product is contiguous.
     """
-    c0, c1, C2, G = coef
+    c0, c1, C2, F = coef
     n = c1.shape[0]
-    sqdt = math.sqrt(config.dt)
+    F_nu, F_level, F_tilt = (np.ascontiguousarray(b) for b in (F[:, :n], F[:, n], F[:, n + 1:]))
+    c1 = np.tile(c1, (rows, 1))     # a contiguous row per path: a fast broadcast
     anti = config.antithetic
     rng = _block_rng(config.seed, stream_offset, block)
 
@@ -252,19 +304,15 @@ def _march_block(coef, config, tr, steps, block, rows, stream_offset):
     u = np.zeros(rows)
     for start in range(0, steps, CHUNK):
         L = min(CHUNK, steps - start)
-        dW = _normals(rng, (BLOCK, CHUNK, G.shape[0]), anti)[:rows, :L] * sqdt
-        nu = dW @ tr.nu_from_dw
-        if tr.nu_from_z is not None:
-            nu += _normals(rng, (BLOCK, CHUNK, n), anti)[:rows, :L] @ tr.nu_from_z
-        path = _factor_path(x, nu.transpose(1, 0, 2), tr.phi)
+        z = _normals(rng, (L, BLOCK, F.shape[0]), anti)[:, :rows]
+        path = _factor_path(x, z @ F_nu, tr.phi)
         xleft, x = path[:-1], path[-1]
 
-        Y = dW.transpose(1, 0, 2) @ G               # level shock, then tilt shocks
         tilt = xleft @ C2
         tilt += c1
-        tilt += Y[..., 1:]
+        tilt += z @ F_tilt
         inc = np.einsum("lpi,lpi->lp", xleft, tilt)     # (L, rows)
-        inc += Y[..., 0]
+        inc += z @ F_level
         inc += c0
 
         bad = ~np.isfinite(inc)
@@ -304,7 +352,7 @@ def simulate(model: FactorModel, strategy: Strategy, config: SimConfig,
         raise ValueError("horizon shorter than one step")
 
     tr = _transition(model, config.dt, config.factor_scheme)
-    coef = _increment(model, strategy, config.dt)
+    coef = _increment(model, strategy, tr, config.dt)
     paths, n = config.paths, model.n
     u = np.empty(paths)
     xf = np.empty((paths, n))
@@ -416,7 +464,8 @@ def simulate_discrete(model: FactorModel, months: int, seed: int = 0) -> TimeSer
         raise ValueError("need at least 24 months for a calibratable series")
     n = model.n
     tr = _transition(model, 1.0, "exact")
-    rng = _block_rng(seed, _DISCRETE_TAG, 0)
+    key = np.array([seed & _MASK64, _DISCRETE_TAG << 32], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
 
     x0 = tr.x0_sqrt @ rng.standard_normal(n)
     Z = rng.standard_normal((months, model.m + n))

@@ -1,7 +1,9 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from conftest import random_stable_model, scalar_strategy
@@ -265,19 +267,19 @@ def test_discrete_series_minimum_length(model):
 
 
 def test_draw_layout_pinned(model):
-    # values recorded from the released draw layout; a change to the
-    # generator, the block/chunk grouping or the draw order fails here
+    # values recorded from draw contract v2; a change to the generator, the
+    # block grouping, the draw order or the shock map fails here
     cfg = SimConfig(dt=0.5, horizon=10.0, paths=64, seed=11)
     one = simulate(model, scalar_strategy(1.0, 0.5), cfg)
-    assert_allclose(one.mean_u, -0.32130010051907165, rtol=1e-12)
-    assert_allclose(one.var_u, 0.4251350539472187, rtol=1e-12)
-    assert_allclose(one.final_u[:3], [0.21608580330333613, 0.10854752321942886,
-                                      -0.2793234421178068], rtol=1e-12)
+    assert_allclose(one.mean_u, -0.2782801358608335, rtol=1e-12)
+    assert_allclose(one.var_u, 0.6853108256066902, rtol=1e-12)
+    assert_allclose(one.final_u[:3], [-0.02154771835969528, -0.8876497718461264,
+                                      0.11426666659511528], rtol=1e-12)
     two = simulate(*two_factor(), cfg)
-    assert_allclose(two.mean_u, 0.07477278224382353, rtol=1e-12)
-    assert_allclose(two.var_u, 0.010415819650705862, rtol=1e-12)
-    assert_allclose(two.final_u[:3], [0.0003236058612103264, 0.1723725953253914,
-                                      0.06073981960352743], rtol=1e-12)
+    assert_allclose(two.mean_u, 0.08257122963394159, rtol=1e-12)
+    assert_allclose(two.var_u, 0.009547514714285455, rtol=1e-12)
+    assert_allclose(two.final_u[:3], [0.1016881201852072, -0.1204137010426364,
+                                      0.08413055012882882], rtol=1e-12)
 
 
 @pytest.mark.parametrize("antithetic", [False, True])
@@ -296,14 +298,16 @@ def test_two_factor_standard_errors_match_kept_paths(antithetic):
 def reference_march(model, strategy, config):
     """Terminal (u, x) of one block, one step at a time through the direct formula.
 
-    Draws follow the documented layout: the stationary start, then per
-    CHUNK-step slab the Brownian normals and, for the exact scheme, the
-    extra factor normals, each generated for a full block and sliced.  The
-    increment is w'(mu dt + Sigma dW) - w'SS'w dt / 2 with w = h + Hx and
-    mu = a + Ax, at the step's left endpoint.
+    Draws follow the documented layout: the stationary start, then one
+    (BLOCK, k) array of normals per step, each drawn for a full block and
+    sliced.  The step's normals map through F to the factor innovation nu
+    and Y = dW G, with G = Sigma'[h H].  The increment is
+    w'mu dt - w'SS'w dt / 2 + Y[0] + x'Y[1:] with w = h + Hx and mu = a + Ax,
+    at the step's left endpoint.
     """
-    m, n, dt, rows = model.m, model.n, config.dt, config.paths
+    n, dt, rows = model.n, config.dt, config.paths
     tr = mc._transition(model, dt, config.factor_scheme)
+    F = mc._increment(model, strategy, tr, dt)[-1]
     rng = mc._block_rng(config.seed, 0, 0)
 
     def normals(shape):
@@ -315,21 +319,15 @@ def reference_march(model, strategy, config):
     SS = model.Sigma @ model.Sigma.T
     x = normals((BLOCK, n)) @ tr.x0_sqrt.T
     u = np.zeros(rows)
-    steps = int(round(config.horizon / dt))
-    for start in range(0, steps, CHUNK):
-        dW = normals((BLOCK, CHUNK, m + n)) * np.sqrt(dt)
-        extra = normals((BLOCK, CHUNK, n)) if tr.nu_from_z is not None else None
-        for j in range(min(CHUNK, steps - start)):
-            w = strategy.h + x @ strategy.H.T
-            mu = model.a + x @ model.A.T
-            drift = np.einsum("pm,pm->p", w, mu)
-            quad = np.einsum("pm,pm->p", w @ SS, w)
-            shock = np.einsum("pm,pm->p", w, dW[:, j] @ model.Sigma.T)
-            u += (drift - 0.5 * quad) * dt + shock
-            nu = dW[:, j] @ tr.nu_from_dw
-            if extra is not None:
-                nu = nu + extra[:, j] @ tr.nu_from_z
-            x = x @ tr.phi.T + nu
+    for _ in range(int(round(config.horizon / dt))):
+        shocks = normals((BLOCK, F.shape[0])) @ F
+        nu, Y = shocks[:, :n], shocks[:, n:]
+        w = strategy.h + x @ strategy.H.T
+        mu = model.a + x @ model.A.T
+        drift = np.einsum("pm,pm->p", w, mu)
+        quad = np.einsum("pm,pm->p", w @ SS, w)
+        u += (drift - 0.5 * quad) * dt + Y[:, 0] + np.einsum("pi,pi->p", x, Y[:, 1:])
+        x = x @ tr.phi.T + nu
     return u, x
 
 
@@ -349,6 +347,81 @@ def test_increment_matches_direct_formula(shape):
             label = (scheme, antithetic)
             assert np.abs(stats.final_u - u).max() <= 1e-12 * np.abs(u).max(), label
             assert np.abs(stats.final_x - x).max() <= 1e-12 * np.abs(x).max(), label
+
+
+def step_covariance(model, dt, scheme, G):
+    """Joint covariance of one step's [nu | dW G], from the transition's closed forms."""
+    Lm = model.Lambda
+    if scheme == "euler":
+        cov_nu, cov_nu_dw = Lm @ Lm.T * dt, Lm * dt
+    else:
+        phi = scipy.linalg.expm(model.B * dt)
+        delta = stationary_covariance(model)
+        cov_nu = delta - phi @ delta @ phi.T
+        cov_nu_dw = np.linalg.solve(model.B, (phi - np.eye(model.n)) @ Lm)
+    cross = cov_nu_dw @ G
+    return np.block([[cov_nu, cross], [cross.T, G.T @ G * dt]])
+
+
+@pytest.mark.parametrize("scheme", ["exact", "euler"])
+def test_shock_map_has_the_step_law(scheme):
+    dt = 0.1
+    for m in (1, 2, 3):
+        for n in (1, 2, 3):
+            rng = np.random.default_rng(100 + 10 * m + n)
+            model = random_stable_model(rng, m, n)
+            strategy = Strategy(h=rng.normal(size=m), H=rng.normal(size=(m, n)))
+            F = mc._increment(model, strategy, mc._transition(model, dt, scheme), dt)[-1]
+            G = model.Sigma.T @ np.column_stack([strategy.h, strategy.H])
+            cov = step_covariance(model, dt, scheme, G)
+            rows = m + n + (n if scheme == "exact" else 0)
+            assert F.shape == (min(rows, 1 + 2 * n), 1 + 2 * n), (m, n)
+            assert np.array_equal(F, np.triu(F)), (m, n)
+            assert np.all(F[n:, :n] == 0.0), (m, n)
+            assert np.abs(F.T @ F - cov).max() <= 1e-14 * np.abs(cov).max(), (m, n)
+
+
+@pytest.mark.parametrize("scheme", ["exact", "euler"])
+def test_factor_paths_shared_across_strategies(scheme):
+    for m, n in ((2, 3), (3, 3), (3, 2)):
+        rng = np.random.default_rng(30 + 10 * m + n)
+        model = random_stable_model(rng, m, n)
+        cfg = SimConfig(dt=0.5, horizon=20.0, paths=BLOCK + 40, seed=4, factor_scheme=scheme)
+        zero = simulate(model, Strategy(h=np.zeros(m), H=np.zeros((m, n))), cfg)
+        assert np.all(zero.final_u == 0.0), (m, n)
+        for strategy in (Strategy(h=rng.normal(size=m), H=np.zeros((m, n))),
+                         Strategy(h=rng.normal(size=m), H=rng.normal(scale=0.3, size=(m, n)))):
+            stats = simulate(model, strategy, cfg)
+            assert np.array_equal(stats.final_x, zero.final_x), (m, n)
+            assert np.all(stats.final_u != 0.0), (m, n)
+
+
+def test_chunk_sets_only_memory(monkeypatch):
+    model = random_stable_model(np.random.default_rng(8), 2, 3)
+    strategy = Strategy(h=np.array([0.4, -0.3]), H=np.full((2, 3), 0.2))
+    for scheme in ("exact", "euler"):
+        # 300 steps: slabs of 256 and 44, or eight of 37 and one of 4
+        cfg = SimConfig(dt=0.1, horizon=30.0, paths=100, seed=6, factor_scheme=scheme,
+                        antithetic=True)
+        with monkeypatch.context() as patch:
+            base = simulate(model, strategy, cfg)
+            patch.setattr(mc, "CHUNK", 37)
+            small = simulate(model, strategy, cfg)
+        assert np.array_equal(small.final_x, base.final_x), scheme
+        assert np.abs(small.final_u - base.final_u).max() <= 1e-12 * np.abs(base.final_u).max()
+
+
+@pytest.mark.parametrize("scheme", ["exact", "euler"])
+def test_overflowing_strategy_raises_without_warning(model, scheme):
+    wide = random_stable_model(np.random.default_rng(9), 3, 2)
+    cases = ((model, scalar_strategy(1e200, 0.0)),
+             (wide, Strategy(h=np.full(3, 1e200), H=np.zeros((3, 2)))))
+    for mdl, strategy in cases:
+        cfg = SimConfig(dt=0.1, horizon=5.0, paths=4, seed=0, factor_scheme=scheme)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SimulationError, match="non-finite value at step"):
+                simulate(mdl, strategy, cfg)
 
 
 def test_single_factor_path_is_the_linear_filter():
