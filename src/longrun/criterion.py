@@ -13,8 +13,12 @@ h at each point.  The whole scan (a grid_points^(m n) mesh when m n <= 2,
 else a 4,096-point Latin hypercube) is h-solved and scored in one call of
 the batched moment engine (:mod:`longrun.moments`).  W is a quartic
 polynomial in (h, H), so a 5-point central difference is its exact gradient
-up to rounding; each BFGS step and the stationarity test take theirs from
-one engine call.
+up to rounding.  One BFGS ascent carries every start: each round scores the
+trial points of all starts still running, with their gradients, in one
+engine call.  A trial is kept if it passes the Armijo test, else its step is
+halved.  A start stops when its largest |gradient| entry is at most 1e-9,
+after max_iterations kept steps, or when the gain its step predicts falls
+below the rounding of W.  The stationarity test takes one more engine call.
 
 Unboundedness is decided exactly.  With SS' = Sigma Sigma', D the
 stationary factor covariance and w = B^-T gamma:
@@ -38,7 +42,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .linalg import DimensionError
 from .model import CriterionParams, FactorModel, Strategy, _require_definite_diffusion
@@ -63,6 +66,9 @@ _SCAN_BUDGET = 4096
 # large one keeps the rounding error small.
 _STENCIL_STEP = 1e-3
 _STATIONARITY_NORM = 1e-6
+_GTOL = 1e-3 * _STATIONARITY_NORM   # per H partial: restarts at one optimum agree well below 1e-6
+_ARMIJO = 1e-4              # share of the predicted gain a kept step must reach
+_EPS = np.finfo(float).eps
 
 
 class UnboundedCriterionError(RuntimeError):
@@ -79,10 +85,11 @@ class OptimizerConfig:
 
     ``grid_bounds`` applies to every entry of H (h is solved for).
     ``grid_points`` only sets the mesh resolution per axis, used when
-    m*n <= 2; ``seed`` only seeds the Latin hypercube used above that.  The
-    best ``local_restarts`` scan points seed BFGS runs of at most
-    ``max_iterations`` iterations.  ``simplex_tolerance`` only sets the
-    relative tolerance within which refined values tie (see :func:`optimize`).
+    m*n <= 2; ``seed`` (any integer, modulo 2**64) only seeds the Latin
+    hypercube used above that.  The best ``local_restarts`` scan points start
+    one batched BFGS ascent, where each start keeps at most ``max_iterations``
+    steps.  ``simplex_tolerance`` only sets the relative tolerance within
+    which refined values tie (see :func:`optimize`).
     """
 
     grid_bounds: tuple = (-3.0, 3.0)
@@ -113,8 +120,8 @@ class OptimizationResult:
     ``stationary`` reports the gradient test over all of (h, H); a False
     value flags the point rather than raising.  ``restarts`` holds the
     (point, value) pair of every local refinement, in start order.
-    ``evaluations`` counts every strategy scored: scan points, the
-    difference points of every BFGS step and those of the stationarity test.
+    ``evaluations`` counts every strategy scored: scan points, the points
+    of every BFGS round and those of the stationarity test.
     """
 
     strategy: Strategy
@@ -178,7 +185,8 @@ def _scan_points(config: OptimizerConfig, dim: int) -> np.ndarray:
     """Deterministic global scan: full mesh when affordable, LHS otherwise."""
     lo, hi = config.grid_bounds
     if dim > _FULL_GRID_MAX_DIM:
-        rng = np.random.Generator(np.random.Philox(key=np.array([config.seed, 0x5CA1], dtype=np.uint64)))
+        key = np.array([config.seed % 2**64, 0x5CA1], dtype=np.uint64)   # as simulate takes it
+        rng = np.random.Generator(np.random.Philox(key=key))
         u = (rng.permuted(np.tile(np.arange(_SCAN_BUDGET, dtype=float)[:, None], (1, dim)), axis=0)
              + rng.random((_SCAN_BUDGET, dim))) / _SCAN_BUDGET
         return lo + (hi - lo) * u
@@ -232,21 +240,64 @@ def _unbounded(direction: np.ndarray, reason: str):
 def _stencil(score, x: np.ndarray, coords) -> tuple:
     """W at ``x`` and its 5-point-stencil gradient along ``coords``.
 
-    ``score`` maps a (k, dim) stack to (k,) values; one call scores 1 + 4 len(coords) rows.
+    ``x`` is one point (dim,) or a stack of r points (r, dim).  ``score`` maps
+    a (k, dim) stack to (k,) values; one call scores r (1 + 4 len(coords)) rows.
     """
-    steps = _STENCIL_STEP * (1.0 + np.abs(x[coords]))
-    E = np.eye(len(x))[coords] * steps[:, None]
-    f = score(np.vstack([x, x + 2.0 * E, x + E, x - E, x - 2.0 * E]))
-    p2, p1, m1, m2 = f[1:].reshape(4, -1)
-    return f[0], (8.0 * (p1 - m1) - (p2 - m2)) / (12.0 * steps)
+    X = np.atleast_2d(x)
+    steps = _STENCIL_STEP * (1.0 + np.abs(X[:, coords]))
+    E = np.eye(X.shape[1])[coords] * steps[..., None]
+    shifted = X[:, None] + np.multiply.outer([2.0, 1.0, -1.0, -2.0], E)
+    f = score(np.vstack([X, shifted.reshape(-1, X.shape[1])]))
+    p2, p1, m1, m2 = f[len(X):].reshape(4, len(X), -1)
+    g = (8.0 * (p1 - m1) - (p2 - m2)) / (12.0 * steps)
+    return (f[0], g[0]) if x.ndim == 1 else (f[:len(X)], g)
+
+
+def _refine(objective, starts: np.ndarray, max_iterations: int) -> tuple:
+    """BFGS ascent from every row of ``starts`` at once, by the rules of the module docstring.
+
+    ``objective`` maps a stack of points to their values and gradients.
+    """
+    X = starts.copy()
+    W, G = objective(X)
+    eye = np.eye(X.shape[1])
+    inv_hess = np.tile(eye, (len(X), 1, 1))
+    alpha = 1.0 / np.maximum(1.0, np.linalg.norm(G, axis=1))
+    kept = np.zeros(len(X), dtype=int)
+    fresh = np.ones(len(X), dtype=bool)       # inverse Hessian not yet scaled
+    while True:
+        P = np.einsum("rij,rj->ri", inv_hess, G)
+        gain = alpha * np.einsum("ri,ri->r", G, P)
+        i = np.flatnonzero((np.abs(G).max(axis=1) > _GTOL) & (kept < max_iterations)
+                           & (gain > _EPS * np.abs(W)))
+        if i.size == 0:
+            return X, W
+        trial = X[i] + alpha[i, None] * P[i]
+        w, g = objective(trial)
+        ok = w >= W[i] + _ARMIJO * gain[i]
+        alpha[i[~ok]] *= 0.5
+        i, trial, w, g = i[ok], trial[ok], w[ok], g[ok]
+        s, y = trial - X[i], G[i] - g          # y is the change in the gradient of -W
+        X[i], W[i], G[i], kept[i] = trial, w, g, kept[i] + 1
+        sy = np.einsum("ri,ri->r", s, y)
+        i, s, y, sy = i[sy > 0.0], s[sy > 0.0], y[sy > 0.0], sy[sy > 0.0]
+        inv_hess[i[fresh[i]]] = eye * (sy / np.einsum("ri,ri->r", y, y))[fresh[i], None, None]
+        fresh[i] = False
+        rs = (s / sy[:, None])[:, :, None]
+        V = eye - rs * y[:, None, :]
+        inv_hess[i] = V @ inv_hess[i] @ np.swapaxes(V, 1, 2) + rs * s[:, None, :]
+        alpha[i] = 1.0
 
 
 def optimize(model: FactorModel, params: CriterionParams,
              config: OptimizerConfig | None = None) -> OptimizationResult:
     """Maximize the criterion over (h, H).
 
-    Scan over H, then BFGS over H from the best ``local_restarts`` scan
-    points; every point takes the maximizing h for its H.  Raises,
+    Scan over H, then refine the best ``local_restarts`` scan points by one
+    batched BFGS ascent over H; every point takes the maximizing h for its H.
+    A start stops at a largest |gradient| entry of 1e-9, after
+    ``config.max_iterations`` kept steps, or when the gain its step predicts
+    falls below the rounding of W.  Raises,
     before scoring a strategy, :class:`UnboundedCriterionError` when W has
     no maximum (see the module docstring), :class:`~longrun.model.ModelValidationError`
     when Sigma Sigma' is not positive definite, and :class:`~longrun.linalg.DimensionError`
@@ -271,27 +322,20 @@ def optimize(model: FactorModel, params: CriterionParams,
         return evaluate(model, (X[:, :m], X[:, m:].reshape(-1, m, n)), params)
 
     def full(Hx):
-        return np.concatenate([h_star(Hx.reshape(m, n)), Hx])
+        return np.hstack([h_star(Hx.reshape(-1, m, n)), Hx])
 
     points = _scan_points(config, m * n)
-    values = score(np.hstack([h_star(points.reshape(-1, m, n)), points]))
+    values = score(full(points))
 
     starts = points[np.argsort(-values, kind="stable")[:config.local_restarts]]
 
     def objective(Hx):
         # Envelope theorem: at h = h*(H), dW/dh = 0, so the partial gradient
         # along H is the exact gradient of W*(H) = max_h W(h, H).
-        w, g = _stencil(score, full(Hx), np.arange(m, m + m * n))
-        return -w, -g
+        return _stencil(score, full(Hx), np.arange(m, m + m * n))
 
-    trials = []
-    for H0 in starts:
-        # gtol bounds each H partial, far inside the stationarity test, so
-        # restarts that end at one optimum agree to well below 1e-6.
-        res = scipy.optimize.minimize(
-            objective, H0, jac=True, method="BFGS",
-            options={"gtol": 1e-3 * _STATIONARITY_NORM, "maxiter": config.max_iterations})
-        trials.append((full(res.x), float(-res.fun)))
+    Hx, W = _refine(objective, starts, config.max_iterations)
+    trials = [(x, float(w)) for x, w in zip(full(Hx), W)]
 
     best_w = max(w for _, w in trials)
     tol = config.simplex_tolerance * (1.0 + abs(best_w))

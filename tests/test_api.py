@@ -40,3 +40,9 @@ def test_import_leaves_out_scipy_signal():
     probe = "import sys, longrun; print('scipy.signal' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_import_leaves_out_scipy_optimize():
+    probe = "import sys, longrun, longrun.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

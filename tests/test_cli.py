@@ -451,3 +451,12 @@ def test_document_schemas(model_file, tmp_path, capsys):
                  "--out", str(tmp_path / "sw")]) == 0
     header = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()[0]
     assert header == "parameter,h_1,H_1_1,H_1_2,W"
+
+
+def test_negative_seed_exit_0(tmp_path, capsys):
+    # 2 x 2: the seed reaches the Latin hypercube scan, taken modulo 2**64
+    path = tmp_path / "m22.json"
+    save_model(random_stable_model(np.random.default_rng(0), 2, 2), path)
+    assert main(["optimize", "--model", str(path), "--seed", "-1"]) == 0
+    assert main(["sweep", "--mode", "theta", "--model", str(path), "--seed", "-1",
+                 "--range", "1,4", "--out", str(tmp_path / "sweep")]) == 0

@@ -321,3 +321,13 @@ def test_optimize_on_latin_hypercube_scan():
     assert again.value == res.value and again.evaluations == res.evaluations
     other = optimize(model, prm, OptimizerConfig(local_restarts=1, seed=1))
     assert_allclose(other.value, res.value, rtol=1e-10)
+
+
+def test_seed_is_taken_modulo_2_64():
+    # 2 x 2: the scan is the seeded Latin hypercube
+    model = random_stable_model(np.random.default_rng(0), 2, 2)
+    prm = CriterionParams(theta=1.0, gamma=np.zeros(2))
+    low = optimize(model, prm, OptimizerConfig(local_restarts=1, seed=-1))
+    high = optimize(model, prm, OptimizerConfig(local_restarts=1, seed=2**64 - 1))
+    assert low.value == high.value and np.array_equal(low.strategy.H, high.strategy.H)
+    assert low.stationary

@@ -1,0 +1,90 @@
+"""The batched BFGS refine of optimize: exact 1x1 certificates, batch independence, engine calls.
+
+With one asset and one factor, W is a concave quadratic in h for fixed H, so
+max_h W = N(H) / d(H) with N of degree 6 and d of degree 2, and its critical
+points are the real roots of the degree-7 polynomial N'd - Nd'.  Those
+polynomials are fitted exactly from ``evaluate`` alone, never from the
+optimizer, so the best real root certifies each optimum.
+"""
+
+import numpy as np
+import pytest
+from numpy.polynomial import polynomial as P
+
+import longrun.criterion as criterion
+from conftest import random_stable_model
+from longrun import CriterionParams, OptimizerConfig, evaluate, optimize, reference_model
+
+
+def _certificate(model, params):
+    """Best value of W over the real critical points of max_h W(h, H), and its H."""
+    Hs = np.linspace(-2.0, 2.0, 13)
+    h = np.array([-1.0, 0.0, 1.0])
+    hh, HH = np.meshgrid(h, Hs, indexing="ij")
+    f = evaluate(model, (hh.reshape(-1, 1), HH.reshape(-1, 1, 1)), params).reshape(3, -1)
+    # W = c0 + c1 h + c2 h^2 at each H; c0, c1, c2 have degrees 4, 3, 2 in H
+    c0 = P.polyfit(Hs, f[1], 4)
+    c1 = P.polyfit(Hs, 0.5 * (f[2] - f[0]), 3)
+    c2 = P.polyfit(Hs, 0.5 * (f[2] + f[0]) - f[1], 2)
+    N = P.polysub(4.0 * P.polymul(c0, c2), P.polymul(c1, c1))
+    d = 4.0 * c2
+    crit = P.polysub(P.polymul(P.polyder(N), d), P.polymul(N, P.polyder(d)))
+    assert len(crit) == 8                          # degree 7
+    roots = P.polyroots(crit)
+    real = roots.real[np.abs(roots.imag) <= 1e-7 * (1.0 + np.abs(roots.real))]
+    h_star = -P.polyval(real, c1) / (2.0 * P.polyval(real, c2))
+    values = evaluate(model, (h_star[:, None], real[:, None, None]), params)
+    best = int(np.argmax(values))
+    return values[best], real[best]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_one_by_one_optimum_is_the_best_real_critical_point(seed):
+    rng = np.random.default_rng(3000 + seed)
+    model = random_stable_model(rng, 1, 1)
+    gamma = rng.normal(scale=0.3, size=1)
+    for theta in (0.5, 1.0, 4.0, 16.0):
+        params = CriterionParams(theta=theta, gamma=gamma)
+        w_cert, H_cert = _certificate(model, params)
+        res = optimize(model, params)
+        assert res.stationary, res.message
+        assert abs(res.value - w_cert) <= 1e-10 * abs(w_cert), (theta, res.value, w_cert)
+        assert abs(res.strategy.H[0, 0] - H_cert) <= 1e-5 * (1.0 + abs(H_cert))
+
+
+def test_engine_calls_per_optimize(monkeypatch):
+    # one scan call, the refine rounds and one stationarity call
+    calls = []
+    original = criterion.evaluate
+    monkeypatch.setattr(criterion, "evaluate", lambda *args: calls.append(1) or original(*args))
+    optimize(reference_model(), CriterionParams(theta=1.0, gamma=np.zeros(1)))
+    assert len(calls) <= 10
+    calls.clear()
+    model = random_stable_model(np.random.default_rng(0), 3, 2)
+    optimize(model, CriterionParams(theta=1.0, gamma=np.zeros(2)),
+             OptimizerConfig(local_restarts=2, max_iterations=500))
+    assert len(calls) <= 30
+
+
+@pytest.mark.parametrize("case", ["reference", "2x2", "3x2"])
+def test_each_start_refined_alone_matches_the_batch(monkeypatch, case):
+    if case == "reference":
+        model = reference_model()
+    else:
+        model = random_stable_model(np.random.default_rng(0), 2 if case == "2x2" else 3, 2)
+    params = CriterionParams(theta=2.0, gamma=np.full(model.n, 0.05))
+    runs = []
+    original = criterion._refine
+
+    def recording(objective, starts, max_iterations):
+        X, W = original(objective, starts, max_iterations)
+        runs.append((objective, starts, max_iterations, W))
+        return X, W
+
+    monkeypatch.setattr(criterion, "_refine", recording)
+    res = optimize(model, params)
+    (objective, starts, max_iterations, W), = runs
+    assert len(starts) == 5 and [w for _, w in res.restarts] == list(W)
+    for j in range(len(starts)):
+        _, alone = original(objective, starts[j:j + 1], max_iterations)
+        assert abs(alone[0] - W[j]) <= 1e-12 * abs(W[j])
