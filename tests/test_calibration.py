@@ -16,6 +16,7 @@ from longrun import (
     timeseries_to_csv,
     to_continuous,
 )
+from conftest import random_stable_model
 
 
 def month_range(count, start_year=1990):
@@ -219,6 +220,22 @@ def test_calibrate_end_to_end(model):
     assert abs(report.model.B[0, 0] - est) / abs(est) < 0.25
     assert report.model.m == 1 and report.model.n == 1
     assert report.discrete.nobs == 19_999
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 2), (2, 3)])
+def test_multi_asset_round_trip(shape):
+    # the diffusion map matches the monthly innovation covariance by
+    # convention, so Lambda Lambda' and the euler map's B stay off at any
+    # sample length and are not checked; B and Sigma Sigma' converge
+    m, n = shape
+    model = random_stable_model(np.random.default_rng(10 * m + n), m, n)
+    est = calibrate(simulate_discrete(model, 20_000, seed=0), persistence_map="log").model
+
+    def rel(est_block, true_block):
+        return np.linalg.norm(est_block - true_block) / np.linalg.norm(true_block)
+
+    assert rel(est.B, model.B) < 0.10
+    assert rel(est.Sigma @ est.Sigma.T, model.Sigma @ model.Sigma.T) < 0.10
 
 
 # ---------------------------------------------------------------------------

@@ -283,6 +283,19 @@ def test_simulate_without_out_writes_nothing(model_file, tmp_path, capsys, monke
     assert not (tmp_path / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("h, field", [("1e140", "mean_uxx_se"), ("3e154", "mean_u")])
+def test_simulate_overflowed_summary_exit_3(h, field, model_file, tmp_path, capsys):
+    # every path's u is finite, but a cross-path statistic overflows
+    out = tmp_path / "sim"
+    rc = main(["simulate", "--model", model_file, "--h", h, "--H", "0", "--dt", "0.1",
+               "--horizon", "100", "--paths", "4", "--out", str(out)])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert f"numeric failure: non-finite {field}" in captured.err
+    assert "warning" not in captured.err
+    assert not (out / "stats.json").exists()
+
+
 def test_simulate_dump_paths_needs_out(model_file, capsys):
     rc = main(["simulate", "--model", model_file, "--dump-paths"])
     assert rc == 1

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -57,6 +58,10 @@ def test_config_validation():
         SimConfig(dt=0.1, horizon=10.0, paths=16, factor_scheme="milstein")
     with pytest.raises(ValueError, match="even"):
         SimConfig(dt=0.1, horizon=10.0, paths=15, antithetic=True)
+    for paths in (64.0, 64.5, float("nan"), True, "64"):
+        with pytest.raises(ValueError, match="paths must be an integer"):
+            SimConfig(dt=0.1, horizon=10.0, paths=paths)
+    assert SimConfig(dt=0.1, horizon=10.0, paths=np.int64(64)).paths == 64
 
 
 def test_same_seed_bitwise_identical(model, hold_only):
@@ -339,7 +344,7 @@ def test_increment_matches_direct_formula(shape):
     strategy = Strategy(h=rng.normal(scale=0.5, size=m), H=rng.normal(scale=0.3, size=(m, n)))
     for scheme in ("exact", "euler"):
         for antithetic in (False, True):
-            # 300 steps: one full slab and a partial last one
+            # 300 steps: nine full slabs and a partial last one
             cfg = SimConfig(dt=0.1, horizon=30.0, paths=64, seed=5, factor_scheme=scheme,
                             antithetic=antithetic)
             stats = simulate(model, strategy, cfg)
@@ -400,7 +405,7 @@ def test_chunk_sets_only_memory(monkeypatch):
     model = random_stable_model(np.random.default_rng(8), 2, 3)
     strategy = Strategy(h=np.array([0.4, -0.3]), H=np.full((2, 3), 0.2))
     for scheme in ("exact", "euler"):
-        # 300 steps: slabs of 256 and 44, or eight of 37 and one of 4
+        # 300 steps: nine slabs of 32 and one of 12, or eight of 37 and one of 4
         cfg = SimConfig(dt=0.1, horizon=30.0, paths=100, seed=6, factor_scheme=scheme,
                         antithetic=True)
         with monkeypatch.context() as patch:
@@ -422,6 +427,34 @@ def test_overflowing_strategy_raises_without_warning(model, scheme):
             warnings.simplefilter("error")
             with pytest.raises(SimulationError, match="non-finite value at step"):
                 simulate(mdl, strategy, cfg)
+
+
+@pytest.mark.parametrize("h, dt, message", [
+    (1e140, 0.1, "non-finite mean_uxx_se"),     # u x x' overflows in its standard error
+    (3e154, 0.1, "non-finite mean_u"),          # the sum over paths overflows
+    (1e155, 1.0, "non-finite log wealth by step 32, path 0"),   # one slab's sum overflows
+])
+def test_overflowing_summary_raises_without_warning(model, h, dt, message):
+    cfg = SimConfig(dt=dt, horizon=100.0, paths=4, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SimulationError, match=message):
+            simulate(model, scalar_strategy(h, 0.0), cfg)
+
+
+def test_slab_memory_peak():
+    # two blocks of 300 steps on one thread: the traced peak is one block's
+    # slab and its temporaries, 8.1 MB with slabs of 32 steps, 46 MB with 256
+    model = random_stable_model(np.random.default_rng(7), 3, 2)
+    strategy = Strategy(h=np.array([0.4, -0.2, 0.3]), H=np.full((3, 2), 0.1))
+    cfg = SimConfig(dt=0.1, horizon=30.0, paths=2 * BLOCK, seed=1)
+    tracemalloc.start()
+    try:
+        simulate(model, strategy, cfg, threads=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6, peak / 1e6
 
 
 def test_single_factor_path_is_the_linear_filter():
