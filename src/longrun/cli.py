@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -165,7 +166,7 @@ def _emit(args, verb: str, files: dict, inputs=()) -> None:
         (out_dir / name).write_bytes(data)
         hashes[name] = hashlib.sha256(data).hexdigest()
     arguments = {
-        k: v for k, v in vars(args).items() if k not in ("func", "out", "raw_argv", "parser")
+        k: v for k, v in vars(args).items() if k not in ("func", "out", "raw_argv")
     }
     manifest = {
         "v": 1,
@@ -217,7 +218,7 @@ def _reject_unread(args, names, when: str) -> None:
     (argv is not searched: it may hold an abbreviation such as ``--pa``.)
     """
     required = [f"--{k}={getattr(args, k)}" for k in ("model", "mode") if hasattr(args, k)]
-    default = args.parser.parse_args([args.command, *required])
+    default = build_parser().parse_args([args.command, *required])
     given = [f"--{name.replace('_', '-')}" for name in names
              if getattr(args, name) != getattr(default, name)]
     if given:
@@ -440,7 +441,9 @@ def _add_common(sub, oracle=False):
         sub.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(
         prog="longrun",
         description="Long-run moments, criterion optimization, and calibration "
@@ -508,13 +511,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     args.raw_argv = list(argv)
-    args.parser = parser
     try:
         with warnings.catch_warnings():     # library warnings without their source location
             warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)

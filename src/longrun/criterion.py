@@ -20,6 +20,14 @@ halved.  A start stops when its largest |gradient| entry is at most 1e-9,
 after max_iterations kept steps, or when the gain its step predicts falls
 below the rounding of W.  The stationarity test takes one more engine call.
 
+A sweep optimizes each of its points independently, but scores them
+together: one engine call holds every point's scan, one BFGS ascent carries
+every point's starts (h* solved for all of them at once), and one call runs
+every point's stationarity test, each row under its own point's theta and
+gamma.  So a 13-point sweep makes about as many engine calls as one
+optimize, and each point's result is bit for bit what optimize returns there.
+A point whose W has no maximum is flagged before any scoring.
+
 Unboundedness is decided exactly.  With SS' = Sigma Sigma', D the
 stationary factor covariance and w = B^-T gamma:
 
@@ -163,15 +171,22 @@ def evaluate(model: FactorModel, strategy, params: CriterionParams, factor_cov=N
     """Criterion value W for a Strategy (a float), or for a stack ``(h, H)`` (shape (k,)).
 
     A stack has ``h`` of shape (k, m) and ``H`` of shape (k, m, n), as in
-    :func:`~longrun.moments.moments`.  ``factor_cov`` is accepted for
-    compatibility and not used: the model keeps its stationary covariance.
-    Raises :class:`~longrun.linalg.DimensionError` when ``gamma`` or the
-    strategy does not fit the model.
+    :func:`~longrun.moments.moments`.  ``params`` may also be a sequence of c
+    CriterionParams: W then gains a leading axis of length c, one row per
+    criterion, from one evaluation of the moments.  ``factor_cov`` is
+    accepted for compatibility and not used: the model keeps its stationary
+    covariance.  Raises :class:`~longrun.linalg.DimensionError` when
+    ``gamma`` or the strategy does not fit the model.
     """
-    _check_gamma(model, params)
+    criteria = [params] if isinstance(params, CriterionParams) else params
+    for prm in criteria:
+        _check_gamma(model, prm)
     mom = moments(model, strategy)
-    w = mom.growth_rate - 0.25 * params.theta * mom.variance_rate + mom.wealth_factor_cov @ params.gamma
-    return w if np.ndim(w) else float(w)
+    w = np.array([mom.growth_rate - 0.25 * prm.theta * mom.variance_rate
+                  + mom.wealth_factor_cov @ prm.gamma for prm in criteria])
+    if not isinstance(params, CriterionParams):
+        return w
+    return w[0] if np.ndim(w[0]) else float(w[0])
 
 
 def _check_gamma(model: FactorModel, params: CriterionParams) -> None:
@@ -195,35 +210,50 @@ def _scan_points(config: OptimizerConfig, dim: int) -> np.ndarray:
     return np.stack([g.ravel() for g in mesh], axis=1)
 
 
-def _h_solver(model: FactorModel, params: CriterionParams):
-    """Raise if W has no maximum; else return ``H -> h*(H)``, H of shape (m, n) or (k, m, n).
+def _h_terms(model: FactorModel, params: CriterionParams) -> tuple:
+    """Raise if W has no maximum; else the criterion's terms ``(theta/2, D w, r0)`` of h*.
 
-    h* solves (SS' + (theta/2) G'G) h = a - (theta/2) G'y0 + (SS'H D - A D - Sigma Lambda') w
-    with G = Sigma' + Lambda'B^-T (H'SS' - A'), y0 = -Lambda'B^-T H'a.  Raises
-    :class:`~longrun.model.ModelValidationError` unless SS' is positive definite.
+    Raises :class:`~longrun.model.ModelValidationError` unless SS' is positive
+    definite, and :class:`~longrun.linalg.DimensionError` when ``gamma`` does
+    not have length n.
     """
     _check_gamma(model, params)
     _require_definite_diffusion(model)
-    a, A, Sg = model.a, model.A, model.Sigma
-    SS = model.prepared.SS
-    dlt = model.prepared.D
-    K = np.linalg.solve(model.B, model.Lambda).T        # Lambda' B^-T
     w = np.linalg.solve(model.B.T, params.gamma)
-    dw = dlt @ w
-    G0 = Sg.T - K @ A.T
-    r0 = a - A @ dw - Sg @ (model.Lambda.T @ w)
-    half = 0.5 * params.theta
+    dw = model.prepared.D @ w
     if params.theta == 0.0 and float(w @ dw) > 1.0:
-        H = np.outer(np.linalg.eigh(SS)[1][:, -1], w)    # along the top eigenvector of SS'
+        H = np.outer(np.linalg.eigh(model.prepared.SS)[1][:, -1], w)   # along the top eigenvector of SS'
         _unbounded(np.concatenate([H @ dw, H.ravel()]),
                    f"theta = 0 and w'Dw = {float(w @ dw):.4g} > 1")
+    r0 = model.a - model.A @ dw - model.Sigma @ (model.Lambda.T @ w)
+    return 0.5 * params.theta, dw, r0
 
-    def h_star(H: np.ndarray) -> np.ndarray:
+
+def _h_solver(model: FactorModel):
+    """``(H, half, dw, r0) -> h*``: the maximizing h at each H of a stack (k, m, n).
+
+    h* solves (SS' + (theta/2) G'G) h = a - (theta/2) G'y0 + (SS'H D - A D - Sigma Lambda') w
+    with G = Sigma' + Lambda'B^-T (H'SS' - A'), y0 = -Lambda'B^-T H'a.  The
+    criterion's terms ``half``, ``dw`` and ``r0`` come from :func:`_h_terms`,
+    and may carry one row per strategy, so rows of different criteria are
+    solved together.
+    """
+    a, SS = model.a, model.prepared.SS
+    K = np.linalg.solve(model.B, model.Lambda).T        # Lambda' B^-T
+    G0 = model.Sigma.T - K @ model.A.T
+
+    def h_star(H: np.ndarray, half, dw: np.ndarray, r0: np.ndarray) -> np.ndarray:
         Ht = np.swapaxes(H, -1, -2)
         G = G0 + K @ Ht @ SS
         Gt = np.swapaxes(G, -1, -2)
-        r = r0 + (H @ dw) @ SS + half * (Gt @ ((Ht @ a) @ K.T)[..., None])[..., 0]
-        return np.linalg.solve(SS + half * (Gt @ G), r[..., None])[..., 0]
+        # One row would take NumPy's vector-matrix path, which rounds
+        # differently from the matrix product: two rows keep a row's h*
+        # independent of the rows solved with it.
+        Ha = Ht @ a
+        Ka = (np.concatenate([Ha, Ha]) @ K.T)[:len(H)]
+        half = np.asarray(half)[..., None]
+        r = r0 + (H @ dw[..., None])[..., 0] @ SS + half * (Gt @ Ka[..., None])[..., 0]
+        return np.linalg.solve(SS + half[..., None] * (Gt @ G), r[..., None])[..., 0]
 
     return h_star
 
@@ -256,10 +286,11 @@ def _stencil(score, x: np.ndarray, coords) -> tuple:
 def _refine(objective, starts: np.ndarray, max_iterations: int) -> tuple:
     """BFGS ascent from every row of ``starts`` at once, by the rules of the module docstring.
 
-    ``objective`` maps a stack of points to their values and gradients.
+    ``objective(X, i)`` maps a stack of points, the current points of the
+    starts ``i``, to their values and gradients.
     """
     X = starts.copy()
-    W, G = objective(X)
+    W, G = objective(X, np.arange(len(X)))
     eye = np.eye(X.shape[1])
     inv_hess = np.tile(eye, (len(X), 1, 1))
     alpha = 1.0 / np.maximum(1.0, np.linalg.norm(G, axis=1))
@@ -273,7 +304,7 @@ def _refine(objective, starts: np.ndarray, max_iterations: int) -> tuple:
         if i.size == 0:
             return X, W
         trial = X[i] + alpha[i, None] * P[i]
-        w, g = objective(trial)
+        w, g = objective(trial, i)
         ok = w >= W[i] + _ARMIJO * gain[i]
         alpha[i[~ok]] *= 0.5
         i, trial, w, g = i[ok], trial[ok], w[ok], g[ok]
@@ -289,6 +320,97 @@ def _refine(objective, starts: np.ndarray, max_iterations: int) -> tuple:
         alpha[i] = 1.0
 
 
+def _optimize(model: FactorModel, params: list, config: OptimizerConfig) -> list:
+    """Maximize the criterion at every point of ``params``, each as :func:`optimize` does alone.
+
+    Returns, per point, its :class:`OptimizationResult` or the
+    :class:`UnboundedCriterionError` it raised.  The points are optimized
+    independently but scored together: one engine call holds every point's
+    scan, one BFGS ascent carries every point's starts, and one call runs
+    every point's stationarity test.  A scored row is (h, vec H, p), p the
+    index of its point, which the stencil's shifted rows keep.
+    """
+    m, n, d = model.m, model.n, model.m * (1 + model.n)
+    outcomes, terms, live = [], [], []
+    for prm in params:
+        try:
+            terms.append(_h_terms(model, prm))
+        except UnboundedCriterionError as err:
+            outcomes.append(err)
+            continue
+        outcomes.append(None)
+        live.append(prm)
+        if prm.theta == 0.0 and not np.any(prm.gamma != 0.0):
+            warnings.warn(
+                "theta = 0 and gamma = 0: the criterion reduces to the growth "
+                "rate alone; the optimum ignores risk entirely",
+                stacklevel=3,
+            )
+    if not live:
+        return outcomes
+    terms = [np.array(t) for t in zip(*terms)]        # (theta/2, D w, r0), a row per point
+    h_star = _h_solver(model)
+    evaluations = np.zeros(len(live), dtype=int)
+
+    def score(X):
+        """W at each row of X, under the criterion of the row's point."""
+        nonlocal evaluations
+        point = X[:, -1].astype(int)
+        evaluations += np.bincount(point, minlength=len(live))
+        w = evaluate(model, (X[:, :m], X[:, m:d].reshape(-1, m, n)), live)
+        return w[point, np.arange(len(X))]
+
+    def full(Hx, point):
+        h = h_star(Hx.reshape(-1, m, n), *(t.take(point, axis=0) for t in terms))
+        return np.hstack([h, Hx, point[:, None]])
+
+    points = _scan_points(config, m * n)
+    values = score(full(np.tile(points, (len(live), 1)), np.arange(len(live)).repeat(len(points))))
+    values = values.reshape(len(live), -1)
+    starts = points[np.argsort(-values, axis=1, kind="stable")[:, :config.local_restarts]]
+    r = starts.shape[1]                 # starts per point
+    start_point = np.arange(len(live)).repeat(r)
+
+    def objective(Hx, i):
+        # Envelope theorem: at h = h*(H), dW/dh = 0, so the partial gradient
+        # along H is the exact gradient of W*(H) = max_h W(h, H).
+        return _stencil(score, full(Hx, start_point[i]), np.arange(m, d))
+
+    Hx, W = _refine(objective, starts.reshape(-1, m * n), config.max_iterations)
+    X = full(Hx, start_point)
+
+    chosen, tols = [], []
+    for j in range(len(live)):
+        rows = range(j * r, (j + 1) * r)
+        best_w = float(W[rows].max())
+        tols.append(config.simplex_tolerance * (1.0 + abs(best_w)))
+        tied = [k for k in rows if W[k] >= best_w - tols[j]]
+        chosen.append(min(tied, key=lambda k: (np.linalg.norm(X[k, :d]), tuple(X[k, :d]))))
+    grads = _stencil(score, X[chosen], np.arange(d))[1]
+
+    results = []
+    for j, k in enumerate(chosen):
+        x_star, w_star = X[k, :d], float(W[k])
+        g_norm = float(np.linalg.norm(grads[j]))
+        stationary = g_norm <= _STATIONARITY_NORM * (1.0 + abs(w_star))
+        message = "converged" if stationary else (
+            f"gradient norm {g_norm:.3e} exceeds the stationarity tolerance"
+        )
+        if values[j].max() - w_star > tols[j]:
+            message += "; a scan point beat the refined optimum"
+        results.append(OptimizationResult(
+            strategy=Strategy(h=x_star[:m], H=x_star[m:].reshape(m, n)),
+            value=w_star,
+            stationary=stationary,
+            gradient_norm=g_norm,
+            restarts=tuple((X[i, :d], float(W[i])) for i in range(j * r, (j + 1) * r)),
+            evaluations=int(evaluations[j]),
+            message=message,
+        ))
+    results = iter(results)
+    return [next(results) if out is None else out for out in outcomes]
+
+
 def optimize(model: FactorModel, params: CriterionParams,
              config: OptimizerConfig | None = None) -> OptimizationResult:
     """Maximize the criterion over (h, H).
@@ -302,78 +424,28 @@ def optimize(model: FactorModel, params: CriterionParams,
     no maximum (see the module docstring), :class:`~longrun.model.ModelValidationError`
     when Sigma Sigma' is not positive definite, and :class:`~longrun.linalg.DimensionError`
     when ``gamma`` does not have length n.  Ties within ``config.simplex_tolerance``
-    go to the smallest-norm point, then lexicographic.
+    go to the smallest-norm point, then lexicographic.  This is the one-point
+    case of the routine that optimizes a sweep's points together.
     """
-    config = config or OptimizerConfig()
-    m, n = model.m, model.n
-    h_star = _h_solver(model, params)
-    if params.theta == 0.0 and not np.any(params.gamma != 0.0):
-        warnings.warn(
-            "theta = 0 and gamma = 0: the criterion reduces to the growth "
-            "rate alone; the optimum ignores risk entirely",
-            stacklevel=2,
-        )
-    evaluations = 0
-
-    def score(X):
-        """W at each row (h, vec H) of X."""
-        nonlocal evaluations
-        evaluations += len(X)
-        return evaluate(model, (X[:, :m], X[:, m:].reshape(-1, m, n)), params)
-
-    def full(Hx):
-        return np.hstack([h_star(Hx.reshape(-1, m, n)), Hx])
-
-    points = _scan_points(config, m * n)
-    values = score(full(points))
-
-    starts = points[np.argsort(-values, kind="stable")[:config.local_restarts]]
-
-    def objective(Hx):
-        # Envelope theorem: at h = h*(H), dW/dh = 0, so the partial gradient
-        # along H is the exact gradient of W*(H) = max_h W(h, H).
-        return _stencil(score, full(Hx), np.arange(m, m + m * n))
-
-    Hx, W = _refine(objective, starts, config.max_iterations)
-    trials = [(x, float(w)) for x, w in zip(full(Hx), W)]
-
-    best_w = max(w for _, w in trials)
-    tol = config.simplex_tolerance * (1.0 + abs(best_w))
-    tied = [(x, w) for x, w in trials if w >= best_w - tol]
-    x_star, w_star = min(tied, key=lambda t: (np.linalg.norm(t[0]), tuple(t[0])))
-
-    g_norm = float(np.linalg.norm(_stencil(score, x_star, np.arange(x_star.size))[1]))
-    stationary = g_norm <= _STATIONARITY_NORM * (1.0 + abs(w_star))
-    message = "converged" if stationary else (
-        f"gradient norm {g_norm:.3e} exceeds the stationarity tolerance"
-    )
-    if values.max() - w_star > tol:
-        message += "; a scan point beat the refined optimum"
-    return OptimizationResult(
-        strategy=Strategy(h=x_star[:m], H=x_star[m:].reshape(m, n)),
-        value=w_star,
-        stationary=stationary,
-        gradient_norm=g_norm,
-        restarts=tuple((x, w) for x, w in trials),
-        evaluations=evaluations,
-        message=message,
-    )
+    result, = _optimize(model, [params], config or OptimizerConfig())
+    if isinstance(result, UnboundedCriterionError):
+        raise result
+    return result
 
 
 def _sweep(model, param_list, make_params, config, name) -> SweepResult:
     param_list = [float(p) for p in param_list]
     if len(param_list) == 0:
         raise ValueError(f"{name} is empty")
+    outcomes = _optimize(model, [make_params(p) for p in param_list], config or OptimizerConfig())
     h_star = np.full((len(param_list), model.m), np.nan)
     H_star = np.full((len(param_list), model.m, model.n), np.nan)
     values = np.full(len(param_list), np.nan)
     stationary = np.zeros(len(param_list), dtype=bool)
     messages, results = [], []
-    for i, p in enumerate(param_list):
-        try:
-            res = optimize(model, make_params(p), config)
-        except UnboundedCriterionError as err:
-            messages.append(str(err))
+    for i, res in enumerate(outcomes):
+        if isinstance(res, UnboundedCriterionError):
+            messages.append(str(res))
             results.append(None)
             continue
         h_star[i] = res.strategy.h
@@ -391,9 +463,10 @@ def sweep_theta(model: FactorModel, theta_values, gamma=None,
                 config: OptimizerConfig | None = None) -> SweepResult:
     """Optimize along an ascending list of risk sensitivities.
 
-    Each point is optimized on its own, from its own grid scan.  ``gamma`` is
-    a fixed factor-sensitivity vector (default zero).  Failed points are
-    flagged and skipped, not fatal.
+    Each point is optimized on its own, from its own grid scan, and comes out
+    as :func:`optimize` returns it; all points are scored in shared engine
+    calls (see the module docstring).  ``gamma`` is a fixed factor-sensitivity
+    vector (default zero).  Failed points are flagged and skipped, not fatal.
     """
     g = np.zeros(model.n) if gamma is None else np.asarray(gamma, dtype=float)
     return _sweep(model, theta_values, lambda t: CriterionParams(theta=t, gamma=g), config,
@@ -406,6 +479,8 @@ def sweep_gamma(model: FactorModel, theta: float, gamma_values,
 
     Each scalar in ``gamma_values`` is the sensitivity to the first factor;
     the others get zero weight (for one factor, gamma is just the scalar).
+    As in :func:`sweep_theta`, the points are optimized independently and
+    scored together, and failed points are flagged, not fatal.
     """
     e = np.eye(model.n)[0]
     return _sweep(model, gamma_values, lambda g: CriterionParams(theta=float(theta), gamma=g * e),

@@ -111,6 +111,11 @@ class SimConfig:
             raise ValueError(f"paths must be an integer, got {self.paths!r}")
         if self.paths < 2:
             raise ValueError(f"need at least 2 paths, got {self.paths}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        for name in ("antithetic", "stationary_start"):
+            if not isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name} must be a boolean, got {getattr(self, name)!r}")
         if self.factor_scheme not in ("exact", "euler"):
             raise ValueError(f"factor_scheme must be 'exact' or 'euler', got {self.factor_scheme!r}")
         if self.antithetic and self.paths % 2:

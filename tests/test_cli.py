@@ -358,6 +358,22 @@ def test_optimize_bad_bounds_exit_1(model_file, capsys):
     assert "grid-bounds" in capsys.readouterr().err
 
 
+def test_parser_reused_after_usage_errors(model_file, tmp_path, capsys):
+    # main builds its parser once per process; usage errors must leave it as built
+    sweep = ["sweep", "--mode", "theta", "--model", model_file, "--range", "1,4", "--svg"]
+    assert main([*sweep, "--bogus"]) == 1
+    assert main([*sweep, "--h", "5"]) == 1
+    assert main([*sweep, "--out", str(tmp_path / "here")]) == 0
+    proc = subprocess.run([sys.executable, "-m", "longrun.cli", *sweep,
+                           "--out", str(tmp_path / "fresh")], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    names = sorted(p.name for p in (tmp_path / "fresh").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "here").iterdir())
+    assert names == ["manifest.json", "sweep.csv", "sweep.svg"]
+    for name in names:
+        assert (tmp_path / "here" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+
 def test_console_script_help():
     proc = subprocess.run([sys.executable, "-m", "longrun.cli", "--help"],
                           capture_output=True, text=True)

@@ -6,6 +6,7 @@ import longrun.criterion as criterion
 from conftest import degenerate_model, random_stable_model, scalar_strategy
 from longrun import (
     CriterionParams,
+    DimensionError,
     FactorModel,
     ModelValidationError,
     OptimizerConfig,
@@ -19,7 +20,7 @@ from longrun import (
     sweep_gamma,
     sweep_theta,
 )
-from longrun.criterion import _h_solver, _scan_points
+from longrun.criterion import _h_solver, _h_terms, _scan_points
 
 QUICK = OptimizerConfig(grid_points=31, local_restarts=3)
 
@@ -44,6 +45,23 @@ def test_evaluate_gamma_term(model, hold_only):
     mom = moments(model, hold_only)
     w = evaluate(model, hold_only, params(gamma=0.01))
     assert_allclose(w, mom.growth_rate + 0.01 * mom.wealth_factor_cov[0], rtol=1e-13)
+
+
+def test_evaluate_under_several_criteria():
+    # one row per criterion, each bit for bit what that criterion alone gives
+    model = random_stable_model(np.random.default_rng(21), 2, 3)
+    rng = np.random.default_rng(22)
+    stack = (rng.normal(size=(7, 2)), rng.normal(size=(7, 2, 3)))
+    one = Strategy(h=stack[0][0], H=stack[1][0])
+    criteria = [CriterionParams(theta=t, gamma=rng.normal(size=3)) for t in (0.0, 0.5, 4.0)]
+    rows = evaluate(model, stack, criteria)
+    assert rows.shape == (3, 7)
+    assert evaluate(model, one, criteria).shape == (3,)
+    for prm, row, w in zip(criteria, rows, evaluate(model, one, criteria)):
+        assert np.array_equal(row, evaluate(model, stack, prm))
+        assert w == evaluate(model, one, prm)
+    with pytest.raises(DimensionError, match="gamma"):
+        evaluate(model, stack, [criteria[0], CriterionParams(theta=1.0, gamma=np.zeros(2))])
 
 
 def test_zero_strategy_evaluates_to_zero(model):
@@ -286,11 +304,11 @@ def test_h_solver_maximizes_over_h(seed):
     m, n = (1, 1) if seed == 0 else (2, 2)
     model = random_stable_model(rng, m, n)
     prm = CriterionParams(theta=float(rng.uniform(0.2, 3.0)), gamma=rng.normal(scale=0.1, size=n))
-    h_star = _h_solver(model, prm)
+    h_star, terms = _h_solver(model), _h_terms(model, prm)
     Hs = rng.uniform(-2.0, 2.0, size=(5, m, n))
-    batch = h_star(Hs)
+    batch = h_star(Hs, *terms)
     for H, h in zip(Hs, batch):
-        assert_allclose(h_star(H), h, rtol=1e-12, atol=1e-14)
+        assert_allclose(h_star(H[None], *terms)[0], h, rtol=1e-12, atol=1e-14)
         best = evaluate(model, Strategy(h=h, H=H), prm)
         for dh in rng.normal(scale=0.05, size=(10, m)):
             assert evaluate(model, Strategy(h=h + dh, H=H), prm) < best

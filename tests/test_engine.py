@@ -28,7 +28,7 @@ from longrun import (
     reference_model,
     stationary_covariance,
 )
-from longrun.criterion import _h_solver
+from longrun.criterion import _h_terms
 
 RTOL = 1e-12
 
@@ -153,7 +153,7 @@ def test_gamma_length_checked():
     with pytest.raises(DimensionError, match="gamma"):
         optimize(model, wrong)
     with pytest.raises(DimensionError, match="gamma"):
-        _h_solver(model, wrong)
+        _h_terms(model, wrong)
 
 
 def test_strategy_shape_checked():

@@ -62,6 +62,15 @@ def test_config_validation():
         with pytest.raises(ValueError, match="paths must be an integer"):
             SimConfig(dt=0.1, horizon=10.0, paths=paths)
     assert SimConfig(dt=0.1, horizon=10.0, paths=np.int64(64)).paths == 64
+    for seed in (1.5, float("nan"), True, "3"):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            SimConfig(dt=0.1, horizon=10.0, paths=16, seed=seed)
+    assert SimConfig(dt=0.1, horizon=10.0, paths=16, seed=np.uint64(2**63)).seed == 2**63
+    for name in ("antithetic", "stationary_start"):
+        for value in ("no", 1, None):
+            with pytest.raises(ValueError, match=f"{name} must be a boolean"):
+                SimConfig(dt=0.1, horizon=10.0, paths=16, **{name: value})
+    assert SimConfig(dt=0.1, horizon=10.0, paths=16, antithetic=np.True_).antithetic
 
 
 def test_same_seed_bitwise_identical(model, hold_only):

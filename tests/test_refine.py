@@ -1,5 +1,8 @@
 """The batched BFGS refine of optimize: exact 1x1 certificates, batch independence, engine calls.
 
+A sweep scores all its points together, yet each point must come out as
+:func:`~longrun.optimize` returns it alone, to the last bit.
+
 With one asset and one factor, W is a concave quadratic in h for fixed H, so
 max_h W = N(H) / d(H) with N of degree 6 and d of degree 2, and its critical
 points are the real roots of the degree-7 polynomial N'd - Nd'.  Those
@@ -7,13 +10,31 @@ polynomials are fitted exactly from ``evaluate`` alone, never from the
 optimizer, so the best real root certifies each optimum.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
 import longrun.criterion as criterion
 from conftest import random_stable_model
-from longrun import CriterionParams, OptimizerConfig, evaluate, optimize, reference_model
+from longrun import (
+    CriterionParams,
+    OptimizerConfig,
+    UnboundedCriterionError,
+    evaluate,
+    optimize,
+    reference_estimates,
+    reference_model,
+    report_from_estimates,
+    sweep_gamma,
+    sweep_theta,
+)
+
+QUICK = OptimizerConfig(grid_points=31, local_restarts=3)
+# the CLI's default sweep grids
+THETA_GRID = np.geomspace(0.25, 64.0, 13)
+GAMMA_GRID = np.linspace(0.0, 0.01, 11)
 
 
 def _certificate(model, params):
@@ -88,3 +109,82 @@ def test_each_start_refined_alone_matches_the_batch(monkeypatch, case):
     for j in range(len(starts)):
         _, alone = original(objective, starts[j:j + 1], max_iterations)
         assert abs(alone[0] - W[j]) <= 1e-12 * abs(W[j])
+
+
+def _calibrated():
+    return report_from_estimates(reference_estimates()).model
+
+
+def _assert_points_as_alone(model, sweep, make_params, config):
+    """Every point of ``sweep`` is what optimize returns, or raises, at that point alone."""
+    for i, p in enumerate(sweep.parameter_values):
+        try:
+            with warnings.catch_warnings(record=True):
+                alone = optimize(model, make_params(p), config)
+        except UnboundedCriterionError as err:
+            assert sweep.failed[i] and sweep.results[i] is None
+            assert sweep.messages[i] == str(err)
+            continue
+        res = sweep.results[i]
+        assert not sweep.failed[i]
+        for got in (res.strategy.h, sweep.h_star[i]):
+            assert np.array_equal(got, alone.strategy.h), (i, got, alone.strategy.h)
+        for got in (res.strategy.H, sweep.H_star[i]):
+            assert np.array_equal(got, alone.strategy.H), (i, got, alone.strategy.H)
+        assert res.value == sweep.values[i] == alone.value
+        assert res.stationary == sweep.stationary[i] == alone.stationary
+        assert res.message == sweep.messages[i] == alone.message
+        assert res.evaluations == alone.evaluations
+        assert res.gradient_norm == alone.gradient_norm
+        assert [w for _, w in res.restarts] == [w for _, w in alone.restarts]
+
+
+def test_calibrated_default_sweeps_match_optimize_alone():
+    model, config = _calibrated(), OptimizerConfig()
+    gamma = np.zeros(1)
+    theta_sweep = sweep_theta(model, THETA_GRID, gamma=gamma, config=config)
+    _assert_points_as_alone(model, theta_sweep, lambda t: CriterionParams(theta=t, gamma=gamma),
+                            config)
+    gamma_sweep = sweep_gamma(model, 1.0, GAMMA_GRID, config=config)
+    _assert_points_as_alone(model, gamma_sweep, lambda g: CriterionParams(theta=1.0, gamma=[g]),
+                            config)
+    assert not theta_sweep.failed.any() and not gamma_sweep.failed.any()
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_random_model_sweeps_match_optimize_alone(seed):
+    # seeds 12 and 13 refine one start alone in a round: h* of a single row
+    rng = np.random.default_rng(4000 + seed)
+    m, n = (int(v) for v in rng.integers(1, 4, size=2))
+    model = random_stable_model(rng, m, n)
+    gamma = rng.normal(scale=0.2, size=n)
+    thetas = [0.0, 0.5, 2.0, 8.0]
+    _assert_points_as_alone(model, sweep_theta(model, thetas, gamma=gamma, config=QUICK),
+                            lambda t: CriterionParams(theta=t, gamma=gamma), QUICK)
+    e = np.eye(n)[0]
+    _assert_points_as_alone(model, sweep_gamma(model, 1.0, [-0.1, 0.0, 0.3], config=QUICK),
+                            lambda g: CriterionParams(theta=1.0, gamma=g * e), QUICK)
+
+
+def test_sweep_flags_an_unbounded_middle_point_and_warns_once():
+    # theta = 0: gamma = 0 warns, gamma = 0.05 has no maximum, gamma = 0.001 is bounded
+    model = _calibrated()
+    with pytest.warns(UserWarning, match="theta = 0") as caught:
+        sweep = sweep_gamma(model, 0.0, [0.0, 0.05, 0.001], config=QUICK)
+    assert len(caught) == 1
+    assert sweep.failed.tolist() == [False, True, False]
+    assert "without bound" in sweep.messages[1] and np.isnan(sweep.h_star[1, 0])
+    _assert_points_as_alone(model, sweep, lambda g: CriterionParams(theta=0.0, gamma=[g]), QUICK)
+
+
+def test_engine_calls_per_sweep(monkeypatch):
+    # one scan call for all points, the refine rounds and one stationarity call
+    calls = []
+    original = criterion.evaluate
+    monkeypatch.setattr(criterion, "evaluate", lambda *args: calls.append(1) or original(*args))
+    model = _calibrated()
+    sweep_theta(model, THETA_GRID)
+    assert len(calls) <= 15
+    calls.clear()
+    sweep_gamma(model, 1.0, GAMMA_GRID)
+    assert len(calls) <= 12
