@@ -36,10 +36,8 @@ from .criterion import (
 from .linalg import (
     DimensionError,
     NumericError,
-    StabilityError,
     StabilityReport,
     check_stability,
-    solve_lyapunov,
 )
 from .mc import (
     AsymptoticEstimates,
@@ -78,8 +76,7 @@ __all__ = [
     "validate_model", "reference_model",
     "model_to_dict", "model_from_dict", "save_model", "load_model",
     # linear algebra
-    "DimensionError", "NumericError", "StabilityError", "StabilityReport",
-    "check_stability", "solve_lyapunov",
+    "DimensionError", "NumericError", "StabilityReport", "check_stability",
     # closed-form moments
     "AsymptoticMoments", "stationary_covariance",
     "moments", "scalar_moments",

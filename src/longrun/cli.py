@@ -44,7 +44,7 @@ from .calibration import (
     timeseries_to_csv,
 )
 from .criterion import OptimizerConfig, UnboundedCriterionError, optimize, sweep_gamma, sweep_theta
-from .linalg import NumericError, StabilityError
+from .linalg import NumericError
 from .mc import SimConfig, SimulationError, simulate, simulate_discrete
 from .model import (
     CriterionParams,
@@ -523,8 +523,8 @@ def main(argv=None) -> int:
     except UsageError as err:
         print(f"longrun: error: {err}", file=sys.stderr)
         return 1
-    except (CalibrationNumericError, NumericError, StabilityError,
-            SimulationError, UnboundedCriterionError) as err:
+    except (CalibrationNumericError, NumericError, SimulationError,
+            UnboundedCriterionError) as err:
         print(f"longrun: numeric failure: {err}", file=sys.stderr)
         return 3
     except (CalibrationDataError, ModelValidationError, OSError) as err:

@@ -21,11 +21,13 @@ after max_iterations kept steps, or when the gain its step predicts falls
 below the rounding of W.  The stationarity test takes one more engine call.
 
 A sweep optimizes each of its points independently, but scores them
-together: one engine call holds every point's scan, one BFGS ascent carries
-every point's starts (h* solved for all of them at once), and one call runs
-every point's stationarity test, each row under its own point's theta and
-gamma.  So a 13-point sweep makes about as many engine calls as one
-optimize, and each point's result is bit for bit what optimize returns there.
+together: the scans go to the engine in slices of whole points, at most
+4,096 rows a call (one call for a 13-point sweep over a 61-point mesh), one
+BFGS ascent carries every point's starts (h* solved for all of them at
+once), and one call runs every point's stationarity test, each row under its
+own point's theta and gamma.  So a 13-point sweep makes about as many engine
+calls as one optimize, and each point's result is bit for bit what optimize
+returns there.
 A point whose W has no maximum is flagged before any scoring.
 
 Unboundedness is decided exactly.  With SS' = Sigma Sigma', D the
@@ -67,7 +69,9 @@ __all__ = [
 ]
 
 # Full-mesh grids above this dimension would explode combinatorially; switch
-# to a seeded Latin hypercube of _SCAN_BUDGET points.
+# to a seeded Latin hypercube of _SCAN_BUDGET points.  A sweep's scans are
+# also scored at most _SCAN_BUDGET rows a call, so the scan's memory stays
+# flat in the number of points.
 _FULL_GRID_MAX_DIM = 2
 _SCAN_BUDGET = 4096
 # The stencil is exact for a quartic at any step (relative to 1 + |x|); a
@@ -111,6 +115,10 @@ class OptimizerConfig:
         lo, hi = self.grid_bounds
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError(f"grid_bounds must be a finite interval, got {self.grid_bounds}")
+        for name in ("grid_points", "local_restarts", "max_iterations", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.grid_points < 2:
             raise ValueError("grid_points must be at least 2")
         if self.local_restarts < 1:
@@ -325,10 +333,11 @@ def _optimize(model: FactorModel, params: list, config: OptimizerConfig) -> list
 
     Returns, per point, its :class:`OptimizationResult` or the
     :class:`UnboundedCriterionError` it raised.  The points are optimized
-    independently but scored together: one engine call holds every point's
-    scan, one BFGS ascent carries every point's starts, and one call runs
-    every point's stationarity test.  A scored row is (h, vec H, p), p the
-    index of its point, which the stencil's shifted rows keep.
+    independently but scored together: the scans in engine calls of whole
+    points, at most ``_SCAN_BUDGET`` rows each where a point fits, one BFGS
+    ascent for every point's starts, and one call for every point's
+    stationarity test.  A scored row is (h, vec H, p), p the index of its
+    point, which the stencil's shifted rows keep.
     """
     m, n, d = model.m, model.n, model.m * (1 + model.n)
     outcomes, terms, live = [], [], []
@@ -365,8 +374,10 @@ def _optimize(model: FactorModel, params: list, config: OptimizerConfig) -> list
         return np.hstack([h, Hx, point[:, None]])
 
     points = _scan_points(config, m * n)
-    values = score(full(np.tile(points, (len(live), 1)), np.arange(len(live)).repeat(len(points))))
-    values = values.reshape(len(live), -1)
+    step = max(1, _SCAN_BUDGET // len(points))      # whole points per engine call
+    values = np.vstack([
+        score(full(np.tile(points, (len(p), 1)), p.repeat(len(points)))).reshape(len(p), -1)
+        for p in np.split(np.arange(len(live)), np.arange(step, len(live), step))])
     starts = points[np.argsort(-values, axis=1, kind="stable")[:, :config.local_restarts]]
     r = starts.shape[1]                 # starts per point
     start_point = np.arange(len(live)).repeat(r)

@@ -1,11 +1,15 @@
-"""Stability checks and Lyapunov solvers for small dense systems.
+"""Stability check and the one Lyapunov route for small dense systems.
 
 Everything here operates on the factor feedback matrix of a linear factor
 model, which must be a stability (Hurwitz) matrix: every eigenvalue has a
-strictly negative real part.  The solvers are wrappers around dense LAPACK
-routines sized for the n <= 8 systems this package works with; they enforce
-the residual contract of the callers rather than chasing large-scale
-performance.
+strictly negative real part.  :func:`lyapunov_operator` LU-factors the
+n^2 x n^2 operator of ``S -> B S + S B'`` once per B, and
+:func:`solve_lyapunov_stack` solves a stack of right-hand sides with those
+factors, checking every slice's residual.  The model's stationary covariance
+D and the moment engine's offsets S both take this route.  The solves are
+dense LAPACK calls sized for the n <= 8 systems this package works with;
+they enforce the residual contract of the callers rather than chasing
+large-scale performance.
 """
 
 from __future__ import annotations
@@ -18,10 +22,8 @@ import scipy.linalg
 __all__ = [
     "DimensionError",
     "NumericError",
-    "StabilityError",
     "StabilityReport",
     "check_stability",
-    "solve_lyapunov",
     "psd_sqrt",
 ]
 
@@ -40,10 +42,6 @@ class DimensionError(ValueError):
 
 class NumericError(ArithmeticError):
     """A dense solve failed or left a residual above contract."""
-
-
-class StabilityError(ValueError):
-    """A matrix required to be Hurwitz-stable is not."""
 
 
 @dataclass(frozen=True)
@@ -107,46 +105,6 @@ def check_stability(B) -> StabilityReport:
     )
 
 
-def solve_lyapunov(B, Q) -> np.ndarray:
-    """Solve ``B S + S B' = Q`` for S, with B Hurwitz-stable.
-
-    Solves the n^2 x n^2 Kronecker system of :func:`lyapunov_operator`
-    (:func:`solve_lyapunov_stack` with k = 1).  The residual is checked
-    against ``LYAPUNOV_RTOL * (||B||_F ||S||_F + ||Q||_F)``, and a symmetric
-    ``Q`` yields an exactly symmetric ``S`` (the solution is symmetrized,
-    which is a no-op in exact arithmetic).
-
-    Raises
-    ------
-    DimensionError
-        B not square or Q shaped differently from B.
-    StabilityError
-        B not stable (the equation would be singular or meaningless).
-    NumericError
-        Solve failed or residual above contract.
-    """
-    B = _as_square(B, "B")
-    report = check_stability(B)
-    if not report.is_stable:
-        raise StabilityError(
-            f"matrix is not stable: max eigenvalue real part {report.margin:.3e}"
-        )
-    Q = np.asarray(Q, dtype=float)
-    if Q.shape != B.shape:
-        raise DimensionError(
-            f"Q must have the same shape as B {B.shape}, got {Q.shape}"
-        )
-    if not np.all(np.isfinite(Q)):
-        raise NumericError("Q contains non-finite entries")
-
-    S = solve_lyapunov_stack(B, lyapunov_operator(B), Q[None])[0]
-
-    qnorm = np.linalg.norm(Q)
-    if np.linalg.norm(Q - Q.T) <= 1e-12 * max(qnorm, 1.0):
-        S = 0.5 * (S + S.T)
-    return S
-
-
 def check_lyapunov_residual(B: np.ndarray, S: np.ndarray, Q: np.ndarray) -> None:
     """Raise NumericError unless ``B S + S B' = Q`` to ``rtol * (||B|| ||S|| + ||Q||)``.
 
@@ -180,9 +138,10 @@ def lyapunov_operator(B: np.ndarray):
 def solve_lyapunov_stack(B: np.ndarray, lu, Q: np.ndarray) -> np.ndarray:
     """Solve ``B S_i + S_i B' = Q_i`` for a stack Q of shape (k, n, n) in one solve.
 
-    ``lu`` is :func:`lyapunov_operator` of the stable ``B``.  Every slice
-    passes the residual check of :func:`solve_lyapunov`; the result is not
-    symmetrized.
+    ``lu`` is :func:`lyapunov_operator` of ``B``, which the caller has
+    checked to be stable (a :class:`~longrun.model.FactorModel` is).  Every
+    slice must pass :func:`check_lyapunov_residual`, else
+    :class:`NumericError`; the result is not symmetrized.
     """
     k, n = Q.shape[0], B.shape[0]
     x, info = scipy.linalg.lapack.dgetrs(*lu, Q.reshape(k, n * n).T)

@@ -226,7 +226,7 @@ def _numeric(name: str, value) -> np.ndarray:
             if isinstance(item, (str, bool, np.bool_)):
                 raise TypeError("found a string" if isinstance(item, str) else "found a boolean")
         return np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ModelValidationError(
             [f"{name} must be a rectangular array of numbers ({exc})"]
         ) from exc

@@ -20,9 +20,10 @@ covariance D.  Two independent code paths compute them:
   products and one more Lyapunov equation for the offset S, and a stack of
   k strategies, ``h`` of shape (k, m) and ``H`` of shape (k, m, n), is
   evaluated at once: its k offsets are one multi-right-hand-side solve with
-  the factored operator, each passing the residual check of
-  :func:`~longrun.linalg.solve_lyapunov`.  Every moment is a field of its
-  result.
+  the factored operator (:func:`~longrun.linalg.solve_lyapunov_stack`, the
+  route D takes too), each passing the residual check of
+  :func:`~longrun.linalg.check_lyapunov_residual`.  Every moment is a field
+  of its result.
 * :func:`scalar_moments`: explicit scalar algebra for the one-asset,
   one-factor case with the diffusion convention Sigma = (sig, eta),
   Lambda = (0, lam).  It shares no linear-algebra code with the matrix
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimensionError, solve_lyapunov_stack
+from .linalg import DimensionError, NumericError, solve_lyapunov_stack
 from .model import FactorModel, ModelValidationError, Strategy
 
 __all__ = [
@@ -118,36 +119,50 @@ def _engine(model: FactorModel, h: np.ndarray, H: np.ndarray) -> AsymptoticMomen
     a, A, B = model.a, model.A, model.B
     D, SS = pm.D, pm.SS
     Ht = np.swapaxes(H, -1, -2)
-    SSh = h @ SS                                     # (k, m); SS is symmetric
-    HtSSH = Ht @ (SS @ H)                            # (k, n, n)
-    M = 2.0 * (Ht @ A) - HtSSH                       # twice the factor tilt of the growth rate
+    # NumPy tests its floating-point flags after every operation anyway; the
+    # callback only records an overflow, so finite moments cost no extra pass.
+    overflow = []
+    with np.errstate(over="call", invalid="call", call=lambda *_: overflow.append(True)):
+        SSh = h @ SS                                     # (k, m); SS is symmetric
+        HtSSH = Ht @ (SS @ H)                            # (k, n, n)
+        M = 2.0 * (Ht @ A) - HtSSH                       # twice the factor tilt of the growth rate
 
-    # tr(D X) = sum(D * X) for symmetric D, and likewise for S below
-    K = h @ a - 0.5 * np.sum(h * SSh, axis=-1) + 0.5 * np.sum(D * M, axis=(-2, -1))
+        # tr(D X) = sum(D * X) for symmetric D, and likewise for S below
+        K = h @ a - 0.5 * np.sum(h * SSh, axis=-1) + 0.5 * np.sum(D * M, axis=(-2, -1))
 
-    # long-run shock loading of u: direct diffusion plus the factor feedback
-    row = (SSh[:, None, :] @ H)[:, 0] - h @ A - a @ H      # (k, n) = H'SS'h - A'h - H'a
-    P = (row @ D - h @ pm.LS.T) @ pm.B_inv.T               # B^-1 (D row - Lambda Sigma' h)
-    Y = (row @ pm.B_inv) @ model.Lambda + h @ model.Sigma  # (k, m+n)
+        # long-run shock loading of u: direct diffusion plus the factor feedback
+        row = (SSh[:, None, :] @ H)[:, 0] - h @ A - a @ H      # (k, n) = H'SS'h - A'h - H'a
+        P = (row @ D - h @ pm.LS.T) @ pm.B_inv.T               # B^-1 (D row - Lambda Sigma' h)
+        Y = (row @ pm.B_inv) @ model.Lambda + h @ model.Sigma  # (k, m+n)
 
-    # The offset S solves a Lyapunov equation whose right-hand side is
-    # symmetrized first: a no-op for n = 1, and for n > 1 what makes S the
-    # genuine (symmetric) constant term of E[u x x'], as the Monte Carlo
-    # oracle confirms.
-    Q = -(D @ M @ D) - 2.0 * (pm.LS @ H) @ D
-    S = solve_lyapunov_stack(B, pm.lyapunov, 0.5 * (Q + np.swapaxes(Q, -1, -2)))
-    S = 0.5 * (S + np.swapaxes(S, -1, -2))
+        # The offset S solves a Lyapunov equation whose right-hand side is
+        # symmetrized first: a no-op for n = 1, and for n > 1 what makes S the
+        # genuine (symmetric) constant term of E[u x x'], as the Monte Carlo
+        # oracle confirms.
+        Q = -(D @ M @ D) - 2.0 * (pm.LS @ H) @ D
+        try:
+            S = solve_lyapunov_stack(B, pm.lyapunov, 0.5 * (Q + np.swapaxes(Q, -1, -2)))
+        except NumericError:
+            if not overflow:
+                raise
+            S = np.full_like(Q, np.nan)     # an overflowed Q fails the solve; named below
+        S = 0.5 * (S + np.swapaxes(S, -1, -2))
 
-    rate = np.sum(Y * Y, axis=-1) + np.sum(S * M + D * HtSSH, axis=(-2, -1))
-    return AsymptoticMoments(
-        growth_rate=K,
-        variance_rate=rate,
-        wealth_factor_cov=P,
-        factor_cov=D,
-        shock_loading=Y,
-        second_moment_offset=S,
-        second_moment_slope=K[:, None, None] * D,
-    )
+        rate = np.sum(Y * Y, axis=-1) + np.sum(S * M + D * HtSSH, axis=(-2, -1))
+        mom = AsymptoticMoments(
+            growth_rate=K,
+            variance_rate=rate,
+            wealth_factor_cov=P,
+            factor_cov=D,
+            shock_loading=Y,
+            second_moment_offset=S,
+            second_moment_slope=K[:, None, None] * D,
+        )
+    if overflow:
+        for name, value in vars(mom).items():
+            if not np.isfinite(value).all():
+                raise NumericError(f"non-finite {name}: the strategy overflows it")
+    return mom
 
 
 def moments(model: FactorModel, strategy) -> AsymptoticMoments:
@@ -157,7 +172,9 @@ def moments(model: FactorModel, strategy) -> AsymptoticMoments:
     of k strategies with shapes (k, m) and (k, m, n), whose attributes then
     carry a leading axis of length k.  Raises
     :class:`~longrun.linalg.DimensionError` when the shapes do not fit the
-    model.
+    model, and :class:`~longrun.linalg.NumericError`, naming the first
+    moment in field order that overflows (for any row of a stack), without
+    a floating-point warning.
     """
     mom = _engine(model, *_stack(model, strategy))
     if not isinstance(strategy, Strategy):

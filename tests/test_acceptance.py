@@ -29,12 +29,12 @@ from longrun import (
     scalar_moments,
     simulate,
     simulate_discrete,
+    stationary_covariance,
     sweep_gamma,
     sweep_theta,
     to_continuous,
 )
 from longrun.cli import main
-from longrun.linalg import solve_lyapunov
 from test_linalg import kron_lyapunov
 
 THREADS = 4
@@ -68,7 +68,7 @@ def test_lyapunov_solver_against_dense_oracle():
         model = random_stable_model(rng, 1, n)
         B = model.B
         C = model.Lambda @ model.Lambda.T
-        dlt = solve_lyapunov(B, -C)
+        dlt = stationary_covariance(model)
         res = np.linalg.norm(B @ dlt + dlt @ B.T + C)
         scale = np.linalg.norm(B) * np.linalg.norm(dlt) + np.linalg.norm(C)
         assert res <= 1e-10 * max(scale, 1e-300)

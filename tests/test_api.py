@@ -10,20 +10,19 @@ PUBLIC = [
     "CalibrationNumericError", "CalibrationReport", "CriterionParams", "DimensionError",
     "DiscreteEstimates", "FactorModel", "ModelValidationError", "NumericError",
     "OptimizationResult", "OptimizerConfig", "PathStats", "SimConfig", "SimulationError",
-    "StabilityError", "StabilityReport", "Strategy", "SweepResult", "TimeSeriesData",
+    "StabilityReport", "Strategy", "SweepResult", "TimeSeriesData",
     "UnboundedCriterionError", "__version__", "calibrate", "check_stability",
     "estimate_asymptotics", "estimate_discrete", "evaluate", "load_model",
     "model_from_dict", "model_to_dict", "moments", "optimize", "read_timeseries_csv",
     "reference_estimates", "reference_model", "report_from_estimates", "save_model",
-    "scalar_moments", "simulate", "simulate_discrete", "solve_lyapunov",
-    "stationary_covariance", "sweep_gamma", "sweep_theta", "timeseries_to_csv",
-    "to_continuous", "validate_model",
+    "scalar_moments", "simulate", "simulate_discrete", "stationary_covariance",
+    "sweep_gamma", "sweep_theta", "timeseries_to_csv", "to_continuous", "validate_model",
 ]
 
 
 def test_public_names_pinned():
     assert sorted(longrun.__all__) == PUBLIC
-    assert len(PUBLIC) == 48
+    assert len(PUBLIC) == 46
 
 
 def test_public_names_resolve_and_are_documented():

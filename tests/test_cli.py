@@ -148,6 +148,15 @@ def _corrupt_model(**fields) -> bytes:
     return json.dumps(model_to_dict(reference_model()) | fields).encode()
 
 
+def _nest(value, depth: int):
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+_HUGE = int("9" * 400)          # a JSON integer beyond the float range
+
+
 MALFORMED_INPUTS = {
     "m-string": ("moments", _corrupt_model(m="abc")),
     "m-null": ("moments", _corrupt_model(m=None)),
@@ -163,6 +172,9 @@ MALFORMED_INPUTS = {
     "a-boolean": ("moments", _corrupt_model(a=[True])),
     "Sigma-boolean-entry": ("moments", _corrupt_model(Sigma=[[0.044249, False]])),
     "Lambda-boolean-entry": ("moments", _corrupt_model(Lambda=[[0, True]])),
+    **{f"{field}-huge-{kind}": ("moments", _corrupt_model(**{field: _nest(entry, depth)}))
+       for field, depth in (("a", 1), ("A", 2), ("B", 2), ("Sigma", 2), ("Lambda", 2))
+       for kind, entry in (("positive", _HUGE), ("negative", -_HUGE), ("nested", [_HUGE]))},
 }
 
 
@@ -294,6 +306,18 @@ def test_simulate_overflowed_summary_exit_3(h, field, model_file, tmp_path, caps
     assert f"numeric failure: non-finite {field}" in captured.err
     assert "warning" not in captured.err
     assert not (out / "stats.json").exists()
+
+
+@pytest.mark.parametrize("H, field", [("1e150", "variance_rate"), ("1e200", "growth_rate")])
+def test_moments_overflowed_moment_exit_3(H, field, model_file, tmp_path, capsys):
+    out = tmp_path / "mom"
+    rc = main(["moments", "--model", model_file, "--h", "1", "--H", H, "--out", str(out)])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"numeric failure: non-finite {field}" in captured.err
+    assert "warning" not in captured.err
+    assert not (out / "moments.json").exists()
 
 
 def test_simulate_dump_paths_needs_out(model_file, capsys):

@@ -222,6 +222,13 @@ def test_optimizer_config_validation():
         OptimizerConfig(simplex_tolerance=0.0)
     with pytest.raises(ValueError):
         OptimizerConfig(local_restarts=0)
+    # the integer fields take NumPy integers, and no float or boolean
+    for name in ("grid_points", "local_restarts", "max_iterations", "seed"):
+        assert getattr(OptimizerConfig(**{name: np.int64(7)}), name) == 7
+    for name, value in (("seed", 1.5), ("seed", True), ("seed", np.nan), ("max_iterations", True),
+                        ("local_restarts", 2.5), ("grid_points", 61.0), ("grid_points", np.True_)):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            OptimizerConfig(**{name: value})
 
 
 def test_empty_sweep_rejected(model):

@@ -50,14 +50,16 @@ def test_shape_violations_collected():
 
 
 def test_unstable_feedback_rejected():
-    with pytest.raises(ModelValidationError, match="stability"):
-        FactorModel(
-            a=np.array([0.1]),
-            A=np.array([[0.0]]),
-            B=np.array([[0.5]]),
-            Sigma=np.array([[0.1, 0.0]]),
-            Lambda=np.array([[0.0, 0.2]]),
-        )
+    # 1e-13 is inside the stability margin: the Lyapunov solves need B clear of the axis
+    for b in (0.5, 1e-13):
+        with pytest.raises(ModelValidationError, match="stability"):
+            FactorModel(
+                a=np.array([0.1]),
+                A=np.array([[0.0]]),
+                B=np.array([[b]]),
+                Sigma=np.array([[0.1, 0.0]]),
+                Lambda=np.array([[0.0, 0.2]]),
+            )
 
 
 def test_non_finite_rejected():

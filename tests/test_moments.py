@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from conftest import random_stable_model, scalar_strategy
 from longrun import (
+    NumericError,
     Strategy,
     moments,
     scalar_moments,
@@ -178,3 +181,26 @@ def test_variance_rate_shape_in_H_has_interior_minimum(model):
     assert 0 < k < len(grid) - 1
     assert abs(grid[k]) > 0.01
     assert rates[k] < moments(model, scalar_strategy(1.0, 0.0)).variance_rate
+
+
+@pytest.mark.parametrize("h, H, field", [
+    (1.0, 1e150, "variance_rate"),       # only the rate's S M product overflows
+    (1.0, 1e200, "growth_rate"),         # H'SS'H overflows, and with it the offset's solve
+    (1e200, 0.0, "growth_rate"),
+])
+def test_overflowed_moment_raises_numeric_error(model, h, H, field):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")    # no RuntimeWarning on the way
+        with pytest.raises(NumericError, match=f"non-finite {field}"):
+            moments(model, scalar_strategy(h, H))
+
+
+def test_overflowed_row_fails_its_stack():
+    model = random_stable_model(np.random.default_rng(5), 3, 2)
+    h, H = np.ones((2, 3)), np.ones((2, 3, 2))
+    assert np.all(np.isfinite(moments(model, (h, H)).variance_rate))
+    H[1, 0, 0] = 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="non-finite growth_rate"):
+            moments(model, (h, H))

@@ -188,3 +188,14 @@ def test_engine_calls_per_sweep(monkeypatch):
     calls.clear()
     sweep_gamma(model, 1.0, GAMMA_GRID)
     assert len(calls) <= 12
+
+
+def test_sweep_scan_calls_stay_within_the_scan_budget(monkeypatch):
+    # a 3x3 model scans a 4,096-row Latin hypercube per point: one point per call
+    rows = []
+    original = criterion.evaluate
+    monkeypatch.setattr(criterion, "evaluate",
+                        lambda model, stack, *args: rows.append(len(stack[0])) or original(model, stack, *args))
+    model = random_stable_model(np.random.default_rng(3), 3, 3)
+    sweep_theta(model, np.linspace(0.5, 8.0, 13), config=OptimizerConfig(local_restarts=2, max_iterations=200))
+    assert max(rows) <= 4096
