@@ -4,7 +4,7 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 from conftest import random_stable_model
-from longrun import stationary_covariance
+from longrun import FactorModel, ModelValidationError, stationary_covariance
 from longrun.linalg import (
     DimensionError,
     NumericError,
@@ -101,6 +101,22 @@ def test_stability_report_fields():
     rep = check_stability(np.array([[0.0, 1.0], [-1.0, 0.0]]))  # pure rotation
     assert not rep.is_stable
     assert abs(rep.margin) < 1e-12
+
+
+def test_unstable_matrix_rejected():
+    # 0.3 is unstable; 1e-13 sits inside the stability margin.  Both are flagged
+    # by check_stability, and a model built on them never reaches a Lyapunov solve.
+    for b in (0.3, 1e-13):
+        B = np.array([[b]])
+        assert not check_stability(B).is_stable
+        with pytest.raises(ModelValidationError, match="stability"):
+            FactorModel(
+                a=np.array([0.1]),
+                A=np.array([[0.0]]),
+                B=B,
+                Sigma=np.array([[0.1, 0.0]]),
+                Lambda=np.array([[0.0, 0.2]]),
+            )
 
 
 def test_dimension_errors():
