@@ -319,9 +319,9 @@ def cmd_sweep(args) -> int:
         mom = moments(model, (np.tile(h, (len(grid), 1)), grid.reshape(-1, 1, 1)))
         svg_series = (mom.growth_rate, mom.wealth_factor_cov[:, 0], mom.variance_rate)
         csv_text = _csv(["H", "K", "P", "varRate"], (grid, *svg_series))
-        svg_text = line_plot(grid, svg_series,
-                             labels=("K", "P", "varRate"), title="moments vs H",
-                             xlabel="H", ylabel="value")
+        plot = functools.partial(line_plot, grid, svg_series,
+                                 labels=("K", "P", "varRate"), title="moments vs H",
+                                 xlabel="H", ylabel="value")
     else:
         if args.mode == "theta":
             grid = _parse_grid(args.range or "0.25:64:13", args.log or args.range is None, "--range")
@@ -344,15 +344,13 @@ def cmd_sweep(args) -> int:
                 f"sweep point {xlabel}={_fmt(grid[i])}: optimum not stationary "
                 f"({res.messages[i]})"
             )
-        h_first = res.h_star[:, 0]
-        H_first = res.H_star[:, 0, 0]
-        svg_text = line_plot(grid, (h_first, H_first), labels=("h*", "H*"),
-                             title=f"optimal strategy vs {xlabel}", xlabel=xlabel,
-                             ylabel="coefficient")
+        plot = functools.partial(line_plot, grid, (res.h_star[:, 0], res.H_star[:, 0, 0]),
+                                 labels=("h*", "H*"), title=f"optimal strategy vs {xlabel}",
+                                 xlabel=xlabel, ylabel="coefficient")
 
     files = {"sweep.csv": csv_text}
-    if args.svg:
-        files["sweep.svg"] = svg_text
+    if args.svg:        # the plot is drawn only when it is written
+        files["sweep.svg"] = plot()
     _emit(args, "sweep", files, [args.model])
     for line in warn_rows:
         print(f"warning: {line}", file=sys.stderr)

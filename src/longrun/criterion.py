@@ -53,9 +53,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimensionError
+from .linalg import DimensionError, NumericError
 from .model import CriterionParams, FactorModel, Strategy, _require_definite_diffusion
-from .moments import moments
+from .moments import AsymptoticMoments, _engine, moments
 
 __all__ = [
     "OptimizerConfig",
@@ -153,8 +153,9 @@ class OptimizationResult:
 class SweepResult:
     """Optima along a parameter path.
 
-    ``failed`` marks points where the optimizer raised (e.g. unbounded
-    direction); their strategy entries are NaN and the sweep continued.
+    ``failed`` marks points where the optimizer raised (an unbounded
+    direction, or overflow at every scan point); their strategy entries are
+    NaN and the sweep continued.
     """
 
     parameter_values: np.ndarray
@@ -184,17 +185,23 @@ def evaluate(model: FactorModel, strategy, params: CriterionParams, factor_cov=N
     criterion, from one evaluation of the moments.  ``factor_cov`` is
     accepted for compatibility and not used: the model keeps its stationary
     covariance.  Raises :class:`~longrun.linalg.DimensionError` when
-    ``gamma`` or the strategy does not fit the model.
+    ``gamma`` or the strategy does not fit the model.  As in
+    :func:`~longrun.moments.moments`, a single Strategy can differ from the
+    same row of a stack by a few ulps.
     """
     criteria = [params] if isinstance(params, CriterionParams) else params
     for prm in criteria:
         _check_gamma(model, prm)
-    mom = moments(model, strategy)
-    w = np.array([mom.growth_rate - 0.25 * prm.theta * mom.variance_rate
-                  + mom.wealth_factor_cov @ prm.gamma for prm in criteria])
+    w = _values(moments(model, strategy), criteria)
     if not isinstance(params, CriterionParams):
         return w
     return w[0] if np.ndim(w[0]) else float(w[0])
+
+
+def _values(mom: AsymptoticMoments, criteria) -> np.ndarray:
+    """W under each criterion (rows) from the moments of one strategy or a stack (columns)."""
+    return np.array([mom.growth_rate - 0.25 * prm.theta * mom.variance_rate
+                     + mom.wealth_factor_cov @ prm.gamma for prm in criteria])
 
 
 def _check_gamma(model: FactorModel, params: CriterionParams) -> None:
@@ -331,8 +338,11 @@ def _refine(objective, starts: np.ndarray, max_iterations: int) -> tuple:
 def _optimize(model: FactorModel, params: list, config: OptimizerConfig) -> list:
     """Maximize the criterion at every point of ``params``, each as :func:`optimize` does alone.
 
-    Returns, per point, its :class:`OptimizationResult` or the
-    :class:`UnboundedCriterionError` it raised.  The points are optimized
+    Returns, per point, its :class:`OptimizationResult`, the
+    :class:`UnboundedCriterionError` it raised, or a
+    :class:`~longrun.linalg.NumericError` when h* or W overflows at every
+    scan row (a row that overflows is dropped from the scan, without a
+    warning).  The points are optimized
     independently but scored together: the scans in engine calls of whole
     points, at most ``_SCAN_BUDGET`` rows each where a point fits, one BFGS
     ascent for every point's starts, and one call for every point's
@@ -361,63 +371,88 @@ def _optimize(model: FactorModel, params: list, config: OptimizerConfig) -> list
     h_star = _h_solver(model)
     evaluations = np.zeros(len(live), dtype=int)
 
-    def score(X):
-        """W at each row of X, under the criterion of the row's point."""
+    def score(X, drop=False):
+        """W at each row of X, under the criterion of the row's point.
+
+        A row whose h* or W is not finite raises NumericError; with ``drop``
+        (the scan) it scores -inf instead, so it never starts an ascent.
+        """
         nonlocal evaluations
         point = X[:, -1].astype(int)
         evaluations += np.bincount(point, minlength=len(live))
-        w = evaluate(model, (X[:, :m], X[:, m:d].reshape(-1, m, n)), live)
-        return w[point, np.arange(len(X))]
+        finite = np.isfinite(X).all(axis=1)
+        if finite.all():
+            try:
+                w = evaluate(model, (X[:, :m], X[:, m:d].reshape(-1, m, n)), live)
+                return w[point, np.arange(len(X))]
+            except NumericError:
+                if not drop:
+                    raise
+        elif not drop:
+            raise NumericError("h* overflows at a point of the ascent")
+        rows = X[finite]        # the scan scores the rows it can, each on its own
+        with np.errstate(over="ignore", invalid="ignore"):
+            mom = _engine(model, rows[:, :m], rows[:, m:d].reshape(-1, m, n), check=False)
+            w = _values(mom, live)[point[finite], np.arange(len(rows))]
+        out = np.full(len(X), -np.inf)
+        out[finite] = np.where(np.isfinite(w), w, -np.inf)
+        return out
 
     def full(Hx, point):
-        h = h_star(Hx.reshape(-1, m, n), *(t.take(point, axis=0) for t in terms))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            h = h_star(Hx.reshape(-1, m, n), *(t.take(point, axis=0) for t in terms))
         return np.hstack([h, Hx, point[:, None]])
 
     points = _scan_points(config, m * n)
     step = max(1, _SCAN_BUDGET // len(points))      # whole points per engine call
     values = np.vstack([
-        score(full(np.tile(points, (len(p), 1)), p.repeat(len(points)))).reshape(len(p), -1)
+        score(full(np.tile(points, (len(p), 1)), p.repeat(len(points))), drop=True)
+        .reshape(len(p), -1)
         for p in np.split(np.arange(len(live)), np.arange(step, len(live), step))])
-    starts = points[np.argsort(-values, axis=1, kind="stable")[:, :config.local_restarts]]
-    r = starts.shape[1]                 # starts per point
-    start_point = np.arange(len(live)).repeat(r)
+    # every point starts from its best finite scan rows
+    counts = np.minimum(config.local_restarts, np.isfinite(values).sum(axis=1))
+    order = np.argsort(-values, axis=1, kind="stable")
+    starts = points[np.concatenate([order[j, :c] for j, c in enumerate(counts)])]
+    start_point = np.arange(len(live)).repeat(counts)
+    first = np.concatenate([[0], np.cumsum(counts)])
 
     def objective(Hx, i):
         # Envelope theorem: at h = h*(H), dW/dh = 0, so the partial gradient
         # along H is the exact gradient of W*(H) = max_h W(h, H).
         return _stencil(score, full(Hx, start_point[i]), np.arange(m, d))
 
-    Hx, W = _refine(objective, starts.reshape(-1, m * n), config.max_iterations)
-    X = full(Hx, start_point)
-
-    chosen, tols = [], []
-    for j in range(len(live)):
-        rows = range(j * r, (j + 1) * r)
-        best_w = float(W[rows].max())
-        tols.append(config.simplex_tolerance * (1.0 + abs(best_w)))
-        tied = [k for k in rows if W[k] >= best_w - tols[j]]
-        chosen.append(min(tied, key=lambda k: (np.linalg.norm(X[k, :d]), tuple(X[k, :d]))))
-    grads = _stencil(score, X[chosen], np.arange(d))[1]
-
-    results = []
-    for j, k in enumerate(chosen):
-        x_star, w_star = X[k, :d], float(W[k])
-        g_norm = float(np.linalg.norm(grads[j]))
-        stationary = g_norm <= _STATIONARITY_NORM * (1.0 + abs(w_star))
-        message = "converged" if stationary else (
-            f"gradient norm {g_norm:.3e} exceeds the stationarity tolerance"
-        )
-        if values[j].max() - w_star > tols[j]:
-            message += "; a scan point beat the refined optimum"
-        results.append(OptimizationResult(
-            strategy=Strategy(h=x_star[:m], H=x_star[m:].reshape(m, n)),
-            value=w_star,
-            stationary=stationary,
-            gradient_norm=g_norm,
-            restarts=tuple((X[i, :d], float(W[i])) for i in range(j * r, (j + 1) * r)),
-            evaluations=int(evaluations[j]),
-            message=message,
-        ))
+    results = [NumericError("h* or W overflows at every scan point: no finite start")
+               if c == 0 else None for c in counts]
+    found = np.flatnonzero(counts)
+    if found.size:
+        Hx, W = _refine(objective, starts, config.max_iterations)
+        X = full(Hx, start_point)
+        chosen, tols = [], []
+        for j in found:
+            rows = range(first[j], first[j + 1])
+            best_w = float(W[rows].max())
+            tols.append(config.simplex_tolerance * (1.0 + abs(best_w)))
+            tied = [k for k in rows if W[k] >= best_w - tols[-1]]
+            chosen.append(min(tied, key=lambda k: (np.linalg.norm(X[k, :d]), tuple(X[k, :d]))))
+        grads = _stencil(score, X[chosen], np.arange(d))[1]
+        for j, k, g, tol in zip(found, chosen, grads, tols):
+            x_star, w_star = X[k, :d], float(W[k])
+            g_norm = float(np.linalg.norm(g))
+            stationary = g_norm <= _STATIONARITY_NORM * (1.0 + abs(w_star))
+            message = "converged" if stationary else (
+                f"gradient norm {g_norm:.3e} exceeds the stationarity tolerance"
+            )
+            if values[j].max() - w_star > tol:
+                message += "; a scan point beat the refined optimum"
+            results[j] = OptimizationResult(
+                strategy=Strategy(h=x_star[:m], H=x_star[m:].reshape(m, n)),
+                value=w_star,
+                stationary=stationary,
+                gradient_norm=g_norm,
+                restarts=tuple((X[i, :d], float(W[i])) for i in range(first[j], first[j + 1])),
+                evaluations=int(evaluations[j]),
+                message=message,
+            )
     results = iter(results)
     return [next(results) if out is None else out for out in outcomes]
 
@@ -434,12 +469,15 @@ def optimize(model: FactorModel, params: CriterionParams,
     before scoring a strategy, :class:`UnboundedCriterionError` when W has
     no maximum (see the module docstring), :class:`~longrun.model.ModelValidationError`
     when Sigma Sigma' is not positive definite, and :class:`~longrun.linalg.DimensionError`
-    when ``gamma`` does not have length n.  Ties within ``config.simplex_tolerance``
-    go to the smallest-norm point, then lexicographic.  This is the one-point
+    when ``gamma`` does not have length n.  A scan row whose h* or W
+    overflows is dropped; :class:`~longrun.linalg.NumericError` is raised
+    when every row overflows, or when a step of the ascent does.  Ties
+    within ``config.simplex_tolerance`` go to the smallest-norm point, then
+    lexicographic.  This is the one-point
     case of the routine that optimizes a sweep's points together.
     """
     result, = _optimize(model, [params], config or OptimizerConfig())
-    if isinstance(result, UnboundedCriterionError):
+    if isinstance(result, Exception):
         raise result
     return result
 
@@ -455,7 +493,7 @@ def _sweep(model, param_list, make_params, config, name) -> SweepResult:
     stationary = np.zeros(len(param_list), dtype=bool)
     messages, results = [], []
     for i, res in enumerate(outcomes):
-        if isinstance(res, UnboundedCriterionError):
+        if isinstance(res, Exception):
             messages.append(str(res))
             results.append(None)
             continue

@@ -105,6 +105,19 @@ def check_stability(B) -> StabilityReport:
     )
 
 
+def _residual_failures(B: np.ndarray, S: np.ndarray, Q: np.ndarray):
+    """(bad, residual, scale) per slice of ``B S + S B' = Q``.
+
+    A slice is bad as :func:`check_lyapunov_residual` defines it.
+    """
+    rtol = LYAPUNOV_RTOL
+    scale = np.atleast_1d(np.linalg.norm(B) * np.linalg.norm(S, axis=(-2, -1))
+                          + np.linalg.norm(Q, axis=(-2, -1)))
+    residual = np.atleast_1d(np.linalg.norm(B @ S + S @ B.T - Q, axis=(-2, -1)))
+    bad = ~(np.isfinite(residual) & (residual <= rtol * np.maximum(scale, 1e-300)))
+    return bad, residual, scale
+
+
 def check_lyapunov_residual(B: np.ndarray, S: np.ndarray, Q: np.ndarray) -> None:
     """Raise NumericError unless ``B S + S B' = Q`` to ``rtol * (||B|| ||S|| + ||Q||)``.
 
@@ -112,15 +125,11 @@ def check_lyapunov_residual(B: np.ndarray, S: np.ndarray, Q: np.ndarray) -> None
     be stacks of shape (k, n, n); every slice is checked against its own
     scale.
     """
-    rtol = LYAPUNOV_RTOL
-    scale = np.atleast_1d(np.linalg.norm(B) * np.linalg.norm(S, axis=(-2, -1))
-                          + np.linalg.norm(Q, axis=(-2, -1)))
-    residual = np.atleast_1d(np.linalg.norm(B @ S + S @ B.T - Q, axis=(-2, -1)))
-    bad = ~(np.isfinite(residual) & (residual <= rtol * np.maximum(scale, 1e-300)))
+    bad, residual, scale = _residual_failures(B, S, Q)
     if np.any(bad):
         i = np.flatnonzero(bad)[0]
         raise NumericError(
-            f"Lyapunov residual {residual[i]:.3e} exceeds {rtol:.1e} * {scale[i]:.3e}"
+            f"Lyapunov residual {residual[i]:.3e} exceeds {LYAPUNOV_RTOL:.1e} * {scale[i]:.3e}"
         )
 
 
@@ -135,20 +144,26 @@ def lyapunov_operator(B: np.ndarray):
     return scipy.linalg.lu_factor(np.kron(eye, B) + np.kron(B, eye), check_finite=False)
 
 
-def solve_lyapunov_stack(B: np.ndarray, lu, Q: np.ndarray) -> np.ndarray:
+def solve_lyapunov_stack(B: np.ndarray, lu, Q: np.ndarray, strict: bool = True) -> np.ndarray:
     """Solve ``B S_i + S_i B' = Q_i`` for a stack Q of shape (k, n, n) in one solve.
 
     ``lu`` is :func:`lyapunov_operator` of ``B``, which the caller has
     checked to be stable (a :class:`~longrun.model.FactorModel` is).  Every
     slice must pass :func:`check_lyapunov_residual`, else
-    :class:`NumericError`; the result is not symmetrized.
+    :class:`NumericError`; with ``strict=False`` a slice that fails comes
+    back as NaN instead, and the others as they are.  Slices are solved
+    independently, so one overflowed Q_i does not touch the rest.  The result
+    is not symmetrized.
     """
     k, n = Q.shape[0], B.shape[0]
     x, info = scipy.linalg.lapack.dgetrs(*lu, Q.reshape(k, n * n).T)
     if info != 0:  # pragma: no cover - only for malformed arguments
         raise NumericError(f"Lyapunov solve failed: getrs info {info}")
     S = x.T.reshape(k, n, n)
-    check_lyapunov_residual(B, S, Q)
+    if strict:
+        check_lyapunov_residual(B, S, Q)
+    else:
+        S[_residual_failures(B, S, Q)[0]] = np.nan
     return S
 
 

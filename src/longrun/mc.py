@@ -30,12 +30,17 @@ in fixed blocks of ``BLOCK``, each block owning one SFC64 stream seeded by
 ``SeedSequence([seed, stream offset, block index])``.  A block's stream
 gives its stationary-start normals, shaped (BLOCK, n), then per step one
 (BLOCK, k) array, always for the full block and sliced to its paths.  Steps
-are drawn in slabs of ``CHUNK`` = 32 as one (L, BLOCK, k) array, which
-holds the same normals as L single steps, so ``CHUNK`` sets only memory
-use: about 8 MB per running block at 3x2, a slab's draws and the
-temporaries of its step-major march.  Identical inputs therefore give
-bit-identical :class:`PathStats`; a path or a cross-path statistic that
-overflows raises :class:`SimulationError`.
+are drawn in slabs of at most ``CHUNK`` = 16 as one (L, BLOCK, k) array,
+which holds the same normals as L single steps, and u sums its increments
+over periods of ``_SUM_STEPS`` = 32 steps whatever the slab length, so
+``CHUNK`` sets only memory use.  A block allocates its working set once:
+the slab's draws, its factor path, and one tilt and one increment scratch
+that every strategy of a stack reuses, under 4 MB per running block at 3x2.
+A stack of strategies runs one march: the draws and the factor path are
+formed once per slab and only the increment is taken per strategy, so each
+strategy's result is bit for bit what it gives alone.  Identical inputs
+therefore give bit-identical :class:`PathStats`; a path or a cross-path
+statistic that overflows raises :class:`SimulationError`.
 :func:`simulate_discrete` draws from its own Philox stream, unchanged by
 version 2.
 """
@@ -50,7 +55,7 @@ import numpy as np
 import scipy.linalg
 
 from .calibration import TimeSeriesData
-from .linalg import NumericError, psd_sqrt
+from .linalg import DimensionError, NumericError, psd_sqrt
 from .model import FactorModel, Strategy
 from .moments import _stack
 
@@ -67,12 +72,13 @@ __all__ = [
 
 # Paths are grouped in blocks of ``BLOCK``, each with its own stream; this is
 # part of the draw-position contract described in the module docstring.  A
-# block's draws are generated ``CHUNK`` steps at a time, which sets only the
-# memory a slab uses: the draws themselves do not depend on it.  32 steps
-# hold it near 8 MB per running block at 3x2; longer slabs ran slower, and
-# shorter ones (down to 8) within 7% of it either way.
+# block's draws are generated at most ``CHUNK`` steps at a time, which sets
+# only the memory a slab uses: the draws do not depend on it, and u is summed
+# in periods of ``_SUM_STEPS`` steps that no slab straddles.  16 steps hold a
+# block's working set near 3.7 MB at 3x2; slabs of 32 ran no faster.
 BLOCK = 2048
-CHUNK = 32
+CHUNK = 16
+_SUM_STEPS = 32
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 # Philox key tag of the single-path monthly generator, which keeps the
@@ -131,6 +137,10 @@ class PathStats:
     wealth-factor covariance limit; ``mean_uxx`` estimates the raw second
     moment E[u x x'] ~ slope * t + offset.  Each estimate carries a standard
     error.  ``final_u``/``final_x`` hold the per-path terminal values.
+
+    For a stack of s strategies every field but ``horizon``, ``dt``,
+    ``paths`` and ``final_x``, which the strategies share, gains a leading
+    axis of length s.
     """
 
     horizon: float
@@ -219,27 +229,29 @@ def _transition(model: FactorModel, dt: float, scheme: str) -> _Transition:
     return _Transition(phi, (M / dt).T.copy(), psd_sqrt(resid).T.copy(), psd_sqrt(dlt))
 
 
-def _normals(rng: np.random.Generator, shape, antithetic: bool) -> np.ndarray:
-    """Standard normals of ``shape``, paths on the second-to-last axis.
+def _normals(rng: np.random.Generator, out: np.ndarray, antithetic: bool) -> np.ndarray:
+    """Fill the C-contiguous ``out`` with standard normals, paths on the second-to-last axis.
 
     Antithetic pairs flip the odd paths' signs.
     """
-    Z = rng.standard_normal(shape)
+    rng.standard_normal(out=out)
     if antithetic:
-        Z[..., 1::2, :] = -Z[..., 0::2, :]
-    return Z
+        np.negative(out[..., 0::2, :], out=out[..., 1::2, :])
+    return out
 
 
-def _factor_path(x: np.ndarray, nu: np.ndarray, phi: np.ndarray) -> np.ndarray:
+def _factor_path(x: np.ndarray, nu: np.ndarray, phi: np.ndarray, out=None) -> np.ndarray:
     """States x_0..x_L of ``x_j = x_{j-1} phi' + nu_j``, step-major.
 
     ``x`` has shape (..., n) and ``nu`` (L, ..., n); the result has shape
-    (L + 1, ..., n) with ``x`` first.
+    (L + 1, ..., n) with ``x`` first, written to ``out`` when given.
     """
-    out = np.empty((nu.shape[0] + 1,) + x.shape)
+    if out is None:
+        out = np.empty((nu.shape[0] + 1,) + x.shape)
     out[0] = x
+    phi_t = np.ascontiguousarray(phi.T)     # a strided phi.T runs about 3x slower
     for j in range(nu.shape[0]):
-        np.matmul(out[j], phi.T, out=out[j + 1])
+        np.matmul(out[j], phi_t, out=out[j + 1])
         out[j + 1] += nu[j]
     return out
 
@@ -291,61 +303,92 @@ def _shock_map(tr: _Transition, G: np.ndarray, dt: float) -> np.ndarray:
     return F
 
 
-def _march_block(coef, config, tr, steps, block, rows, stream_offset):
-    """Advance one block of paths to the terminal time.
+def _march_block(coefs, config, tr, steps, block, rows, stream_offset):
+    """Advance one block of paths to the terminal time under every strategy of a stack.
 
-    ``coef`` comes from :func:`_increment`.  Returns (u, x) of shapes (rows,)
-    and (rows, n).  Draws follow contract v2 (module docstring): after the
-    (BLOCK, n) stationary-start normals, each slab of L steps is one
-    (L, BLOCK, k) array sliced to ``rows`` and run step-major.  ``z @ F =
-    [nu | Y]`` is taken in three column blocks (nu, the level shock Y[0],
-    the tilt shocks Y[1:]) so each product is contiguous.
+    ``coefs`` holds one :func:`_increment` tuple per strategy.  Returns (u, x)
+    of shapes (s, rows) and (rows, n).  Draws follow contract v2 (module
+    docstring): after the (BLOCK, n) stationary-start normals, each slab of
+    L steps is one (L, BLOCK, k) array sliced to ``rows`` and run
+    step-major.  ``z @ F = [nu | Y]`` is taken in three column blocks (nu,
+    the level shock Y[0], the tilt shocks Y[1:]) so each product is
+    contiguous; nu and the factor path do not depend on the strategy and are
+    formed once a slab.  Row 0 of ``path`` carries the slab's start state,
+    and row 0 of ``inc`` a strategy's sum over the period so far, which one
+    reduction then continues.
     """
-    c0, c1, C2, F = coef
-    n = c1.shape[0]
-    F_nu, F_level, F_tilt = (np.ascontiguousarray(b) for b in (F[:, :n], F[:, n], F[:, n + 1:]))
-    c1 = np.tile(c1, (rows, 1))     # a contiguous row per path: a fast broadcast
+    n, k = tr.phi.shape[0], coefs[0][3].shape[0]
+    nu_map = np.ascontiguousarray(coefs[0][3][:, :n])       # the same for every strategy
+    per_strategy = [
+        # c1 tiled to a contiguous row per path: a fast broadcast
+        (c0, np.tile(c1, (rows, 1)), C2, np.ascontiguousarray(F[:, n]),
+         np.ascontiguousarray(F[:, n + 1:]))
+        for c0, c1, C2, F in coefs]
+    label = _labels(len(coefs))
     anti = config.antithetic
     rng = _block_rng(config.seed, stream_offset, block)
 
+    draws = np.empty((CHUNK, BLOCK, k))
+    path = np.empty((CHUNK + 1, rows, n))
+    shock = np.empty((CHUNK, rows, n))      # nu, then each strategy's tilt shocks
+    tilt = np.empty((CHUNK, rows, n))
+    level = np.empty((CHUNK, rows))
+    inc = np.empty((CHUNK + 1, rows))
+    part = np.zeros((len(coefs), rows))     # each strategy's sum over the current period
+    u = np.zeros((len(coefs), rows))
+
     if config.stationary_start:
-        x = _normals(rng, (BLOCK, n), anti)[:rows] @ tr.x0_sqrt.T
+        path[0] = _normals(rng, np.empty((BLOCK, n)), anti)[:rows] @ tr.x0_sqrt.T
     else:
-        x = np.zeros((rows, n))
+        path[0] = 0.0
 
-    u = np.zeros(rows)
-    for start in range(0, steps, CHUNK):
-        L = min(CHUNK, steps - start)
-        z = _normals(rng, (L, BLOCK, F.shape[0]), anti)[:, :rows]
-        path = _factor_path(x, z @ F_nu, tr.phi)
-        xleft, x = path[:-1], path[-1]
+    start = 0
+    while start < steps:
+        L = min(CHUNK, steps - start, _SUM_STEPS - start % _SUM_STEPS)
+        z = _normals(rng, draws[:L], anti)[:, :rows]
+        np.matmul(z, nu_map, out=shock[:L])
+        _factor_path(path[0], shock[:L], tr.phi, out=path[:L + 1])
+        xleft, step_inc = path[:L], inc[1:L + 1]
+        for i, (c0, c1, C2, F_level, F_tilt) in enumerate(per_strategy):
+            np.matmul(xleft, C2, out=tilt[:L])
+            tilt[:L] += c1
+            tilt[:L] += np.matmul(z, F_tilt, out=shock[:L])
+            np.einsum("lpi,lpi->lp", xleft, tilt[:L], out=step_inc)
+            step_inc += np.matmul(z, F_level, out=level[:L])
+            step_inc += c0
 
-        tilt = xleft @ C2
-        tilt += c1
-        tilt += z @ F_tilt
-        inc = np.einsum("lpi,lpi->lp", xleft, tilt)     # (L, rows)
-        inc += z @ F_level
-        inc += c0
+            bad = ~np.isfinite(step_inc)
+            if bad.any():
+                j, p = divmod(int(np.argmax(bad)), rows)   # earliest step, then lowest path
+                raise SimulationError(
+                    f"non-finite value at step {start + j}, path {block * BLOCK + p}{label[i]}"
+                )
+            inc[0] = part[i]
+            with np.errstate(over="ignore"):
+                np.add.reduce(inc[:L + 1], axis=0, out=part[i])
+        start += L
+        if start % _SUM_STEPS == 0 or start == steps:
+            with np.errstate(over="ignore"):
+                u += part
+            part[:] = 0.0
+            for i in range(len(coefs)):
+                if not np.all(np.isfinite(u[i])):
+                    p = int(np.argmax(~np.isfinite(u[i])))
+                    raise SimulationError(
+                        f"non-finite log wealth by step {start}, path {block * BLOCK + p}{label[i]}"
+                    )
+            if not np.all(np.isfinite(path[L])):
+                p = int(np.argwhere(~np.isfinite(path[L]))[0, 0])
+                raise SimulationError(
+                    f"non-finite factor state by step {start}, path {block * BLOCK + p}"
+                )
+        path[0] = path[L]
+    return u, path[0]
 
-        bad = ~np.isfinite(inc)
-        if bad.any():
-            j, p = divmod(int(np.argmax(bad)), rows)   # earliest step, then lowest path
-            raise SimulationError(
-                f"non-finite value at step {start + j}, path {block * BLOCK + p}"
-            )
-        with np.errstate(over="ignore"):
-            u += inc.sum(axis=0)
-        if not np.all(np.isfinite(u)):
-            p = int(np.argmax(~np.isfinite(u)))
-            raise SimulationError(
-                f"non-finite log wealth by step {start + L}, path {block * BLOCK + p}"
-            )
-        if not np.all(np.isfinite(x)):
-            p = int(np.argwhere(~np.isfinite(x))[0, 0])
-            raise SimulationError(
-                f"non-finite factor state by step {start + L}, path {block * BLOCK + p}"
-            )
-    return u, x
+
+def _labels(count: int) -> list:
+    """The suffix that names each strategy in an error message: none for a single one."""
+    return [f", strategy {i}" if count > 1 else "" for i in range(count)]
 
 
 def _mean_se(values: np.ndarray, antithetic: bool) -> np.ndarray:
@@ -355,32 +398,69 @@ def _mean_se(values: np.ndarray, antithetic: bool) -> np.ndarray:
     return values.std(axis=0, ddof=1) / math.sqrt(values.shape[0])
 
 
-def simulate(model: FactorModel, strategy: Strategy, config: SimConfig,
+def _summary(u: np.ndarray, xf: np.ndarray, antithetic: bool, label: str = "") -> dict:
+    """One strategy's cross-path statistics of terminal (u, x), in PathStats field order."""
+    paths = u.shape[0]
+    # finite paths can still overflow a summary; it is located below instead
+    with np.errstate(over="ignore", invalid="ignore"):
+        du = u - u.mean()
+        cov_prod = du[:, None] * (xf - xf.mean(axis=0))      # (paths, n)
+        uxx = u[:, None, None] * (xf[:, :, None] * xf[:, None, :])
+        summary = dict(
+            mean_u=float(u.mean()),
+            mean_u_se=float(_mean_se(u, antithetic)),
+            var_u=float(u.var(ddof=1)),
+            var_u_se=float(_mean_se(du ** 2, antithetic)),
+            cov_ux=cov_prod.sum(axis=0) / (paths - 1),
+            cov_ux_se=_mean_se(cov_prod, antithetic),
+            mean_uxx=uxx.mean(axis=0),
+            mean_uxx_se=_mean_se(uxx, antithetic),
+        )
+    for name, value in summary.items():
+        if not np.all(np.isfinite(value)):
+            raise SimulationError(f"non-finite {name}{label}: the terminal values overflow it")
+    return summary
+
+
+def simulate(model: FactorModel, strategy, config: SimConfig,
              threads: int = 1, stream_offset: int = 0) -> PathStats:
     """Simulate terminal (u, x) across paths and summarize.
+
+    ``strategy`` is a :class:`~longrun.model.Strategy`, or a stack ``(h, H)``
+    of s strategies with shapes (s, m) and (s, m, n), as in
+    :func:`~longrun.moments.moments`.  A stack runs one march: its
+    strategies share the draws and the factor paths, and each one's
+    statistics are bit for bit what it gives alone.  Every field of the
+    result but ``horizon``, ``dt``, ``paths`` and ``final_x`` then gains a
+    leading axis of length s.  Raises :class:`~longrun.linalg.DimensionError`
+    when the shapes do not fit the model (or the stack is empty) and
+    :class:`~longrun.model.ModelValidationError` when a stack has a
+    non-finite entry.
 
     ``threads`` parallelizes over path blocks without changing any output
     bit (each block's draws and its slice of the result are fixed).
     ``stream_offset`` selects a disjoint stream family; batches run with
     different offsets are statistically independent at the same seed.
     """
-    _stack(model, strategy)     # DimensionError if the strategy does not fit the model
+    h, H = _stack(model, strategy)
+    if h.shape[0] == 0:
+        raise DimensionError("the strategy stack is empty")
     steps = int(round(config.horizon / config.dt))
     if steps < 1:
         raise ValueError("horizon shorter than one step")
 
     tr = _transition(model, config.dt, config.factor_scheme)
-    coef = _increment(model, strategy, tr, config.dt)
+    coefs = [_increment(model, Strategy(h=hi, H=Hi), tr, config.dt) for hi, Hi in zip(h, H)]
     paths, n = config.paths, model.n
-    u = np.empty(paths)
+    u = np.empty((len(coefs), paths))
     xf = np.empty((paths, n))
     nblocks = (paths + BLOCK - 1) // BLOCK
 
     def run(block: int):
         lo = block * BLOCK
         rows = min(BLOCK, paths - lo)
-        u[lo:lo + rows], xf[lo:lo + rows] = _march_block(
-            coef, config, tr, steps, block, rows, stream_offset)
+        u[:, lo:lo + rows], xf[lo:lo + rows] = _march_block(
+            coefs, config, tr, steps, block, rows, stream_offset)
 
     if threads > 1 and nblocks > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
@@ -388,28 +468,13 @@ def simulate(model: FactorModel, strategy: Strategy, config: SimConfig,
     else:
         list(map(run, range(nblocks)))
 
-    anti = config.antithetic
-    # finite paths can still overflow a summary; it is located below instead
-    with np.errstate(over="ignore", invalid="ignore"):
-        du = u - u.mean()
-        cov_prod = du[:, None] * (xf - xf.mean(axis=0))      # (paths, n)
-        uxx = u[:, None, None] * (xf[:, :, None] * xf[:, None, :])
-        summary = dict(     # in PathStats field order
-            mean_u=float(u.mean()),
-            mean_u_se=float(_mean_se(u, anti)),
-            var_u=float(u.var(ddof=1)),
-            var_u_se=float(_mean_se(du ** 2, anti)),
-            cov_ux=cov_prod.sum(axis=0) / (paths - 1),
-            cov_ux_se=_mean_se(cov_prod, anti),
-            mean_uxx=uxx.mean(axis=0),
-            mean_uxx_se=_mean_se(uxx, anti),
-        )
-    for name, value in summary.items():
-        if not np.all(np.isfinite(value)):
-            raise SimulationError(f"non-finite {name}: the terminal values overflow it")
-
-    return PathStats(horizon=steps * config.dt, dt=config.dt, paths=paths, **summary,
-                     final_u=u, final_x=xf)
+    stats = [_summary(row, xf, config.antithetic, label)
+             for row, label in zip(u, _labels(len(coefs)))]
+    common = dict(horizon=steps * config.dt, dt=config.dt, paths=paths, final_x=xf)
+    if isinstance(strategy, Strategy):
+        return PathStats(**common, **stats[0], final_u=u[0])
+    return PathStats(**common, **{name: np.array([s[name] for s in stats]) for name in stats[0]},
+                     final_u=u)
 
 
 def _wls_lines(t: np.ndarray, y: np.ndarray, se: np.ndarray):

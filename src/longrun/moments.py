@@ -113,8 +113,13 @@ def _stack(model: FactorModel, strategy):
     return h, H
 
 
-def _engine(model: FactorModel, h: np.ndarray, H: np.ndarray) -> AsymptoticMoments:
-    """All long-run moments of the strategy stack ``h`` (k, m), ``H`` (k, m, n)."""
+def _engine(model: FactorModel, h: np.ndarray, H: np.ndarray,
+            check: bool = True) -> AsymptoticMoments:
+    """All long-run moments of the strategy stack ``h`` (k, m), ``H`` (k, m, n).
+
+    Raises NumericError on an overflowed moment; with ``check=False`` the
+    rows that overflow come back non-finite instead, the others as they are.
+    """
     pm = model.prepared
     a, A, B = model.a, model.A, model.B
     D, SS = pm.D, pm.SS
@@ -140,12 +145,14 @@ def _engine(model: FactorModel, h: np.ndarray, H: np.ndarray) -> AsymptoticMomen
         # genuine (symmetric) constant term of E[u x x'], as the Monte Carlo
         # oracle confirms.
         Q = -(D @ M @ D) - 2.0 * (pm.LS @ H) @ D
+        Q = 0.5 * (Q + np.swapaxes(Q, -1, -2))
         try:
-            S = solve_lyapunov_stack(B, pm.lyapunov, 0.5 * (Q + np.swapaxes(Q, -1, -2)))
+            S = solve_lyapunov_stack(B, pm.lyapunov, Q)
         except NumericError:
             if not overflow:
                 raise
-            S = np.full_like(Q, np.nan)     # an overflowed Q fails the solve; named below
+            # an overflowed row fails the solve; it comes back NaN and is named below
+            S = solve_lyapunov_stack(B, pm.lyapunov, Q, strict=False)
         S = 0.5 * (S + np.swapaxes(S, -1, -2))
 
         rate = np.sum(Y * Y, axis=-1) + np.sum(S * M + D * HtSSH, axis=(-2, -1))
@@ -158,7 +165,7 @@ def _engine(model: FactorModel, h: np.ndarray, H: np.ndarray) -> AsymptoticMomen
             second_moment_offset=S,
             second_moment_slope=K[:, None, None] * D,
         )
-    if overflow:
+    if overflow and check:
         for name, value in vars(mom).items():
             if not np.isfinite(value).all():
                 raise NumericError(f"non-finite {name}: the strategy overflows it")
@@ -174,7 +181,10 @@ def moments(model: FactorModel, strategy) -> AsymptoticMoments:
     :class:`~longrun.linalg.DimensionError` when the shapes do not fit the
     model, and :class:`~longrun.linalg.NumericError`, naming the first
     moment in field order that overflows (for any row of a stack), without
-    a floating-point warning.
+    a floating-point warning.  A single Strategy can differ from the same
+    strategy inside a stack by a few ulps (up to about 4e-15 relative):
+    NumPy takes a one-row matrix product by its vector-matrix path, which
+    rounds differently.
     """
     mom = _engine(model, *_stack(model, strategy))
     if not isinstance(strategy, Strategy):

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -215,6 +216,25 @@ def test_sweep_theta_csv_and_svg(model_file, tmp_path):
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
 
 
+@pytest.mark.parametrize("mode", ["H", "theta", "gamma"])
+def test_sweep_draws_svg_only_when_written(mode, model_file, tmp_path, monkeypatch):
+    import longrun.svg
+
+    drawn = []
+    line_plot = longrun.svg.line_plot
+    monkeypatch.setattr(longrun.svg, "line_plot",
+                        lambda *a, **k: drawn.append(1) or line_plot(*a, **k))
+    ranges = {"H": "-1:1:5", "theta": "1,4", "gamma": "0,0.005"}
+    argv = ["sweep", "--mode", mode, "--model", model_file, f"--range={ranges[mode]}"]
+    assert main(argv + ["--out", str(tmp_path / "plain")]) == 0
+    assert drawn == []
+    assert sorted(p.name for p in (tmp_path / "plain").iterdir()) == ["manifest.json", "sweep.csv"]
+    assert main(argv + ["--svg", "--out", str(tmp_path / "svg")]) == 0
+    assert drawn == [1]
+    plain, svg = (tmp_path / name / "sweep.csv" for name in ("plain", "svg"))
+    assert svg.read_bytes() == plain.read_bytes()
+
+
 def test_sweep_gamma_csv(model_file, tmp_path):
     out = tmp_path / "sw"
     rc = main(["sweep", "--model", model_file, "--mode", "gamma",
@@ -374,6 +394,39 @@ def test_optimize_unbounded_exit_3(model_file, capsys):
                "--gamma", "0.05", "--grid-points", "21"])
     assert rc == 3
     assert "without bound" in capsys.readouterr().err
+
+
+def test_optimize_drops_overflowed_scan_rows(model_file, capsys):
+    # five points from -1e200 keep H = 0, the one finite scan row: the ascent
+    # from it reaches the optimum of the default box, with no raw warning
+    expected = optimize(load_model(model_file), CriterionParams(theta=1.0, gamma=np.zeros(1)))
+    for bounds in ("-1e200:1e200", "-1e100:1e100"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["optimize", "--model", model_file, "--theta", "1",
+                       f"--grid-bounds={bounds}", "--grid-points", "5"])
+        out, err = capsys.readouterr()
+        assert rc == 0, (bounds, err)
+        assert err == ""
+        doc = json.loads(out)
+        assert doc["message"] == "converged"
+        # the ascents start apart and stop at |gradient| <= 1e-9, which fixes
+        # the optimum to about 1e-8 relative
+        assert_allclose(doc["h"], expected.strategy.h, rtol=1e-6)
+        assert_allclose(doc["H"], expected.strategy.H, rtol=1e-6)
+
+
+@pytest.mark.parametrize("bounds", ["-1e200:1e200", "-1e100:1e100", "1e100:2e100"])
+def test_optimize_all_scan_rows_overflow_exit_3(bounds, model_file, capsys):
+    # four points from -1e200 (or from +1e100) leave no finite scan row
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["optimize", "--model", model_file, "--theta", "1",
+                   f"--grid-bounds={bounds}", "--grid-points", "4"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err == ("longrun: numeric failure: "
+                   "h* or W overflows at every scan point: no finite start\n")
 
 
 def test_optimize_bad_bounds_exit_1(model_file, capsys):

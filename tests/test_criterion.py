@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -9,6 +11,7 @@ from longrun import (
     DimensionError,
     FactorModel,
     ModelValidationError,
+    NumericError,
     OptimizerConfig,
     Strategy,
     SweepResult,
@@ -356,3 +359,25 @@ def test_seed_is_taken_modulo_2_64():
     high = optimize(model, prm, OptimizerConfig(local_restarts=1, seed=2**64 - 1))
     assert low.value == high.value and np.array_equal(low.strategy.H, high.strategy.H)
     assert low.stationary
+
+
+def test_overflowed_scan_rows_are_dropped(model):
+    # of five points from -1e200 only H = 0 is finite: it alone starts the ascent
+    wide = OptimizerConfig(grid_bounds=(-1e200, 1e200), grid_points=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = optimize(model, params(theta=1.0), wide)
+    assert res.stationary
+    assert len(res.restarts) == 1
+    assert_allclose(res.value, optimize(model, params(theta=1.0)).value, rtol=1e-12)
+
+
+def test_scan_without_a_finite_row_raises_numeric_error(model):
+    none_finite = OptimizerConfig(grid_bounds=(1e100, 2e100), grid_points=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="no finite start"):
+            optimize(model, params(theta=1.0), none_finite)
+        res = sweep_theta(model, [0.5, 2.0], config=none_finite)
+    assert res.failed.all()
+    assert all("no finite start" in msg for msg in res.messages)

@@ -12,6 +12,7 @@ from longrun import (
     scalar_moments,
     stationary_covariance,
 )
+from longrun.moments import _engine
 
 # Frozen outputs for the bundled model, cross-validated against the
 # independent scalar route and the Monte Carlo oracle before pinning.
@@ -204,3 +205,16 @@ def test_overflowed_row_fails_its_stack():
         warnings.simplefilter("error")
         with pytest.raises(NumericError, match="non-finite growth_rate"):
             moments(model, (h, H))
+
+
+def test_unchecked_engine_keeps_the_finite_rows():
+    model = random_stable_model(np.random.default_rng(5), 3, 2)
+    h, H = np.ones((3, 3)), np.ones((3, 3, 2))
+    H[1, 0, 0] = 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mom = _engine(model, h, H, check=False)
+    assert not np.isfinite(mom.growth_rate[1])
+    keep = moments(model, (h[[0, 2]], H[[0, 2]]))
+    for name in ("growth_rate", "variance_rate", "wealth_factor_cov", "second_moment_offset"):
+        assert_allclose(getattr(mom, name)[[0, 2]], getattr(keep, name), rtol=1e-13, err_msg=name)
