@@ -376,6 +376,8 @@ def _optimize(model: FactorModel, params: list, config: OptimizerConfig) -> list
 
         A row whose h* or W is not finite raises NumericError; with ``drop``
         (the scan) it scores -inf instead, so it never starts an ascent.
+        Rows are scored by :func:`evaluate`, which raises on an overflow for
+        the whole stack; only then is a scan slice scored again unchecked.
         """
         nonlocal evaluations
         point = X[:, -1].astype(int)

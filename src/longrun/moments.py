@@ -146,13 +146,12 @@ def _engine(model: FactorModel, h: np.ndarray, H: np.ndarray,
         # oracle confirms.
         Q = -(D @ M @ D) - 2.0 * (pm.LS @ H) @ D
         Q = 0.5 * (Q + np.swapaxes(Q, -1, -2))
-        try:
-            S = solve_lyapunov_stack(B, pm.lyapunov, Q)
-        except NumericError:
-            if not overflow:
-                raise
-            # an overflowed row fails the solve; it comes back NaN and is named below
-            S = solve_lyapunov_stack(B, pm.lyapunov, Q, strict=False)
+        # A row that fails the residual check comes back NaN. An overflow, which
+        # may first happen inside the check (the norms of S square it), names
+        # the row below; a failure that no overflow explains is the solve's own.
+        S = solve_lyapunov_stack(B, pm.lyapunov, Q, strict=False)
+        if not overflow and np.isnan(S).any():
+            raise NumericError("Lyapunov residual of the offset S exceeds its tolerance")
         S = 0.5 * (S + np.swapaxes(S, -1, -2))
 
         rate = np.sum(Y * Y, axis=-1) + np.sum(S * M + D * HtSSH, axis=(-2, -1))

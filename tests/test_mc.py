@@ -412,18 +412,22 @@ def test_factor_paths_shared_across_strategies(scheme):
 
 
 def test_chunk_sets_only_memory(monkeypatch):
+    # u is summed over fixed periods that no slab straddles, so the slab
+    # length moves neither the draws nor the rounding of any result
     model = random_stable_model(np.random.default_rng(8), 2, 3)
     strategy = Strategy(h=np.array([0.4, -0.3]), H=np.full((2, 3), 0.2))
     for scheme in ("exact", "euler"):
-        # 300 steps: nine slabs of 32 and one of 12, or eight of 37 and one of 4
+        # 300 steps: eighteen slabs of 16 and one of 12, or eight of 37 and one of 4
         cfg = SimConfig(dt=0.1, horizon=30.0, paths=100, seed=6, factor_scheme=scheme,
                         antithetic=True)
-        with monkeypatch.context() as patch:
-            base = simulate(model, strategy, cfg)
-            patch.setattr(mc, "CHUNK", 37)
-            small = simulate(model, strategy, cfg)
-        assert np.array_equal(small.final_x, base.final_x), scheme
-        assert np.abs(small.final_u - base.final_u).max() <= 1e-12 * np.abs(base.final_u).max()
+        base = simulate(model, strategy, cfg)
+        for chunk in (1, 5, 8, 37):
+            with monkeypatch.context() as patch:
+                patch.setattr(mc, "CHUNK", chunk)
+                other = simulate(model, strategy, cfg)
+            for field in dataclasses.fields(PathStats):
+                assert np.array_equal(getattr(other, field.name), getattr(base, field.name)), \
+                    (scheme, chunk, field.name)
 
 
 @pytest.mark.parametrize("scheme", ["exact", "euler"])
@@ -547,18 +551,3 @@ def test_stack_errors_name_the_strategy(model):
             simulate(model, stack, cfg)
         with pytest.raises(SimulationError, match=r"non-finite mean_uxx_se, strategy 1"):
             simulate(model, (np.array([[1.0], [1e140]]), np.zeros((2, 1, 1))), cfg)
-
-
-def test_chunk_sets_no_bit(monkeypatch):
-    # u is summed over fixed periods that no slab straddles, so the slab
-    # length moves neither the draws nor the rounding of any result
-    model = random_stable_model(np.random.default_rng(8), 2, 3)
-    strategy = Strategy(h=np.array([0.4, -0.3]), H=np.full((2, 3), 0.2))
-    cfg = SimConfig(dt=0.1, horizon=30.0, paths=100, seed=6, antithetic=True)
-    base = simulate(model, strategy, cfg)
-    for chunk in (1, 5, 8, 37):
-        with monkeypatch.context() as patch:
-            patch.setattr(mc, "CHUNK", chunk)
-            other = simulate(model, strategy, cfg)
-        for field in dataclasses.fields(PathStats):
-            assert np.array_equal(getattr(other, field.name), getattr(base, field.name)), chunk
