@@ -24,10 +24,10 @@ A sweep optimizes each of its points independently, but scores them
 together: the scans go to the engine in slices of whole points, at most
 4,096 rows a call (one call for a 13-point sweep over a 61-point mesh), one
 BFGS ascent carries every point's starts (h* solved for all of them at
-once), and one call runs every point's stationarity test, each row under its
-own point's theta and gamma.  So a 13-point sweep makes about as many engine
-calls as one optimize, and each point's result is bit for bit what optimize
-returns there.
+once), and one call runs every point's stationarity test, each row scored
+under its own point's theta and gamma alone.  So a 13-point sweep makes about
+as many engine calls as one optimize, and each point's result is bit for bit
+what optimize returns there.
 A point whose W has no maximum is flagged before any scoring.
 
 Unboundedness is decided exactly.  With SS' = Sigma Sigma', D the
@@ -47,14 +47,14 @@ ties are broken by smallest strategy norm, then lexicographically.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import DimensionError, NumericError
-from .model import CriterionParams, FactorModel, Strategy, _require_definite_diffusion
+from .model import (CriterionParams, FactorModel, ModelValidationError, Strategy,
+                    _finite_real, _require_definite_diffusion)
 from .moments import AsymptoticMoments, _engine, moments
 
 __all__ = [
@@ -70,8 +70,8 @@ __all__ = [
 
 # Full-mesh grids above this dimension would explode combinatorially; switch
 # to a seeded Latin hypercube of _SCAN_BUDGET points.  A sweep's scans are
-# also scored at most _SCAN_BUDGET rows a call, so the scan's memory stays
-# flat in the number of points.
+# also scored at most _SCAN_BUDGET rows a call, each row under its own
+# point's criterion, so the scan's memory stays flat in the number of points.
 _FULL_GRID_MAX_DIM = 2
 _SCAN_BUDGET = 4096
 # The stencil is exact for a quartic at any step (relative to 1 + |x|); a
@@ -113,7 +113,7 @@ class OptimizerConfig:
 
     def __post_init__(self):
         lo, hi = self.grid_bounds
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        if not (_finite_real(lo) and _finite_real(hi) and lo < hi):
             raise ValueError(f"grid_bounds must be a finite interval, got {self.grid_bounds}")
         for name in ("grid_points", "local_restarts", "max_iterations", "seed"):
             value = getattr(self, name)
@@ -123,8 +123,9 @@ class OptimizerConfig:
             raise ValueError("grid_points must be at least 2")
         if self.local_restarts < 1:
             raise ValueError("local_restarts must be at least 1")
-        if not self.simplex_tolerance > 0:
-            raise ValueError("simplex_tolerance must be positive")
+        tol = self.simplex_tolerance
+        if not (_finite_real(tol) and tol > 0):
+            raise ValueError(f"simplex_tolerance must be a finite positive number, got {tol!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
 
@@ -151,11 +152,11 @@ class OptimizationResult:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Optima along a parameter path.
+    """Optima along a parameter path: each point as :func:`optimize` returns it.
 
     ``failed`` marks points where the optimizer raised (an unbounded
-    direction, or overflow at every scan point); their strategy entries are
-    NaN and the sweep continued.
+    direction, or overflow at every scan point); their strategy entries and
+    values are NaN, ``messages`` holds the error, and the sweep continued.
     """
 
     parameter_values: np.ndarray
@@ -165,7 +166,6 @@ class SweepResult:
     stationary: np.ndarray
     failed: np.ndarray
     messages: tuple
-    results: tuple
 
     def ratio(self) -> np.ndarray:
         """Signed H*/h* per point, for the one-asset, one-factor case."""
@@ -176,39 +176,46 @@ class SweepResult:
             return np.where(h != 0.0, self.H_star[:, 0, 0] / h, np.nan)
 
 
-def evaluate(model: FactorModel, strategy, params: CriterionParams, factor_cov=None):
+def evaluate(model: FactorModel, strategy, params, factor_cov=None):
     """Criterion value W for a Strategy (a float), or for a stack ``(h, H)`` (shape (k,)).
 
     A stack has ``h`` of shape (k, m) and ``H`` of shape (k, m, n), as in
-    :func:`~longrun.moments.moments`.  ``params`` may also be a sequence of c
-    CriterionParams: W then gains a leading axis of length c, one row per
-    criterion, from one evaluation of the moments.  ``factor_cov`` is
-    accepted for compatibility and not used: the model keeps its stationary
-    covariance.  Raises :class:`~longrun.linalg.DimensionError` when
-    ``gamma`` or the strategy does not fit the model.  As in
-    :func:`~longrun.moments.moments`, a single Strategy can differ from the
-    same row of a stack by a few ulps.
+    :func:`~longrun.moments.moments`.  For a stack, ``params`` may also be a
+    stack of criteria ``(theta, gamma)`` of shapes (k,) and (k, n): W of row i
+    is then under criterion i, bit for bit as under its own CriterionParams.
+    ``factor_cov`` is accepted for compatibility and not used.  Raises
+    :class:`~longrun.linalg.DimensionError` when gamma, the strategy or the
+    criteria do not fit, and :class:`~longrun.model.ModelValidationError`
+    where CriterionParams would.  As in :func:`~longrun.moments.moments`, a
+    single Strategy can differ from the same row of a stack by a few ulps.
     """
-    criteria = [params] if isinstance(params, CriterionParams) else params
-    for prm in criteria:
-        _check_gamma(model, prm)
-    w = _values(moments(model, strategy), criteria)
-    if not isinstance(params, CriterionParams):
-        return w
-    return w[0] if np.ndim(w[0]) else float(w[0])
+    mom = moments(model, strategy)
+    w = _values(mom, *_criteria(model, np.shape(mom.growth_rate), params))
+    return w if np.ndim(w) else float(w)
 
 
-def _values(mom: AsymptoticMoments, criteria) -> np.ndarray:
-    """W under each criterion (rows) from the moments of one strategy or a stack (columns)."""
-    return np.array([mom.growth_rate - 0.25 * prm.theta * mom.variance_rate
-                     + mom.wealth_factor_cov @ prm.gamma for prm in criteria])
+def _criteria(model: FactorModel, shape: tuple, params) -> tuple:
+    """``(theta, gamma)`` of one CriterionParams, or of a stack of criteria for W of ``shape``."""
+    if isinstance(params, CriterionParams):
+        if params.gamma.shape != (model.n,):
+            raise DimensionError(f"gamma must have length n={model.n}, got {params.gamma.shape[0]}")
+        return params.theta, params.gamma
+    theta, gamma = (np.asarray(v, dtype=float) for v in params)
+    if shape == () or theta.shape != shape or gamma.shape != shape + (model.n,):
+        got = f"k={shape[0]}" if shape else "one Strategy"
+        raise DimensionError(f"a stack of k criteria takes theta (k,) and gamma (k, n={model.n}) "
+                             f"for k strategies; got {theta.shape} and {gamma.shape} for {got}")
+    if not np.all(np.isfinite(theta) & (theta >= 0.0)):
+        raise ModelValidationError(["theta must be finite and >= 0"])
+    if not np.all(np.isfinite(gamma)):
+        raise ModelValidationError(["gamma contains non-finite entries"])
+    return theta, gamma
 
 
-def _check_gamma(model: FactorModel, params: CriterionParams) -> None:
-    if params.gamma.shape != (model.n,):
-        raise DimensionError(
-            f"gamma must have length n={model.n}, got {params.gamma.shape[0]}"
-        )
+def _values(mom: AsymptoticMoments, theta, gamma) -> np.ndarray:
+    """W from the moments of one strategy or a stack, under criteria that broadcast to them."""
+    return (mom.growth_rate - 0.25 * theta * mom.variance_rate
+            + np.sum(mom.wealth_factor_cov * gamma, axis=-1))
 
 
 def _scan_points(config: OptimizerConfig, dim: int) -> np.ndarray:
@@ -226,13 +233,13 @@ def _scan_points(config: OptimizerConfig, dim: int) -> np.ndarray:
 
 
 def _h_terms(model: FactorModel, params: CriterionParams) -> tuple:
-    """Raise if W has no maximum; else the criterion's terms ``(theta/2, D w, r0)`` of h*.
+    """Raise if W has no maximum; else the criterion's terms ``(theta, D w, r0)`` of h*.
 
     Raises :class:`~longrun.model.ModelValidationError` unless SS' is positive
     definite, and :class:`~longrun.linalg.DimensionError` when ``gamma`` does
     not have length n.
     """
-    _check_gamma(model, params)
+    _criteria(model, (), params)        # raises unless gamma has length n
     _require_definite_diffusion(model)
     w = np.linalg.solve(model.B.T, params.gamma)
     dw = model.prepared.D @ w
@@ -241,15 +248,15 @@ def _h_terms(model: FactorModel, params: CriterionParams) -> tuple:
         _unbounded(np.concatenate([H @ dw, H.ravel()]),
                    f"theta = 0 and w'Dw = {float(w @ dw):.4g} > 1")
     r0 = model.a - model.A @ dw - model.Sigma @ (model.Lambda.T @ w)
-    return 0.5 * params.theta, dw, r0
+    return params.theta, dw, r0
 
 
 def _h_solver(model: FactorModel):
-    """``(H, half, dw, r0) -> h*``: the maximizing h at each H of a stack (k, m, n).
+    """``(H, theta, dw, r0) -> h*``: the maximizing h at each H of a stack (k, m, n).
 
     h* solves (SS' + (theta/2) G'G) h = a - (theta/2) G'y0 + (SS'H D - A D - Sigma Lambda') w
     with G = Sigma' + Lambda'B^-T (H'SS' - A'), y0 = -Lambda'B^-T H'a.  The
-    criterion's terms ``half``, ``dw`` and ``r0`` come from :func:`_h_terms`,
+    criterion's terms ``theta``, ``dw`` and ``r0`` come from :func:`_h_terms`,
     and may carry one row per strategy, so rows of different criteria are
     solved together.
     """
@@ -257,7 +264,7 @@ def _h_solver(model: FactorModel):
     K = np.linalg.solve(model.B, model.Lambda).T        # Lambda' B^-T
     G0 = model.Sigma.T - K @ model.A.T
 
-    def h_star(H: np.ndarray, half, dw: np.ndarray, r0: np.ndarray) -> np.ndarray:
+    def h_star(H: np.ndarray, theta, dw: np.ndarray, r0: np.ndarray) -> np.ndarray:
         Ht = np.swapaxes(H, -1, -2)
         G = G0 + K @ Ht @ SS
         Gt = np.swapaxes(G, -1, -2)
@@ -266,7 +273,7 @@ def _h_solver(model: FactorModel):
         # independent of the rows solved with it.
         Ha = Ht @ a
         Ka = (np.concatenate([Ha, Ha]) @ K.T)[:len(H)]
-        half = np.asarray(half)[..., None]
+        half = 0.5 * np.asarray(theta)[..., None]
         r = r0 + (H @ dw[..., None])[..., 0] @ SS + half * (Gt @ Ka[..., None])[..., 0]
         return np.linalg.solve(SS + half[..., None] * (Gt @ G), r[..., None])[..., 0]
 
@@ -346,19 +353,18 @@ def _optimize(model: FactorModel, params: list, config: OptimizerConfig) -> list
     independently but scored together: the scans in engine calls of whole
     points, at most ``_SCAN_BUDGET`` rows each where a point fits, one BFGS
     ascent for every point's starts, and one call for every point's
-    stationarity test.  A scored row is (h, vec H, p), p the index of its
-    point, which the stencil's shifted rows keep.
+    stationarity test.  A scored row is (h, vec H, p), scored under the
+    criterion of point p alone; the stencil's shifted rows keep p.
     """
     m, n, d = model.m, model.n, model.m * (1 + model.n)
-    outcomes, terms, live = [], [], []
+    outcomes, live = [], []
     for prm in params:
         try:
-            terms.append(_h_terms(model, prm))
+            live.append((*_h_terms(model, prm), prm.gamma))
         except UnboundedCriterionError as err:
             outcomes.append(err)
             continue
         outcomes.append(None)
-        live.append(prm)
         if prm.theta == 0.0 and not np.any(prm.gamma != 0.0):
             warnings.warn(
                 "theta = 0 and gamma = 0: the criterion reduces to the growth "
@@ -367,7 +373,7 @@ def _optimize(model: FactorModel, params: list, config: OptimizerConfig) -> list
             )
     if not live:
         return outcomes
-    terms = [np.array(t) for t in zip(*terms)]        # (theta/2, D w, r0), a row per point
+    theta, dw, r0, gamma = (np.array(t) for t in zip(*live))    # a row per point
     h_star = _h_solver(model)
     evaluations = np.zeros(len(live), dtype=int)
 
@@ -379,30 +385,29 @@ def _optimize(model: FactorModel, params: list, config: OptimizerConfig) -> list
         Rows are scored by :func:`evaluate`, which raises on an overflow for
         the whole stack; only then is a scan slice scored again unchecked.
         """
-        nonlocal evaluations
         point = X[:, -1].astype(int)
-        evaluations += np.bincount(point, minlength=len(live))
+        evaluations[:] += np.bincount(point, minlength=len(live))
         finite = np.isfinite(X).all(axis=1)
         if finite.all():
             try:
-                w = evaluate(model, (X[:, :m], X[:, m:d].reshape(-1, m, n)), live)
-                return w[point, np.arange(len(X))]
+                return evaluate(model, (X[:, :m], X[:, m:d].reshape(-1, m, n)),
+                                (theta[point], gamma[point]))
             except NumericError:
                 if not drop:
                     raise
         elif not drop:
             raise NumericError("h* overflows at a point of the ascent")
-        rows = X[finite]        # the scan scores the rows it can, each on its own
+        rows, point = X[finite], point[finite]    # the scan scores the rows it can, each on its own
         with np.errstate(over="ignore", invalid="ignore"):
             mom = _engine(model, rows[:, :m], rows[:, m:d].reshape(-1, m, n), check=False)
-            w = _values(mom, live)[point[finite], np.arange(len(rows))]
+            w = _values(mom, theta[point], gamma[point])
         out = np.full(len(X), -np.inf)
         out[finite] = np.where(np.isfinite(w), w, -np.inf)
         return out
 
     def full(Hx, point):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            h = h_star(Hx.reshape(-1, m, n), *(t.take(point, axis=0) for t in terms))
+            h = h_star(Hx.reshape(-1, m, n), theta[point], dw[point], r0[point])
         return np.hstack([h, Hx, point[:, None]])
 
     points = _scan_points(config, m * n)
@@ -485,7 +490,7 @@ def optimize(model: FactorModel, params: CriterionParams,
 
 
 def _sweep(model, param_list, make_params, config, name) -> SweepResult:
-    param_list = [float(p) for p in param_list]
+    param_list = np.array([float(p) for p in param_list])
     if len(param_list) == 0:
         raise ValueError(f"{name} is empty")
     outcomes = _optimize(model, [make_params(p) for p in param_list], config or OptimizerConfig())
@@ -493,26 +498,18 @@ def _sweep(model, param_list, make_params, config, name) -> SweepResult:
     H_star = np.full((len(param_list), model.m, model.n), np.nan)
     values = np.full(len(param_list), np.nan)
     stationary = np.zeros(len(param_list), dtype=bool)
-    messages, results = [], []
-    for i, res in enumerate(outcomes):
-        if isinstance(res, Exception):
-            messages.append(str(res))
-            results.append(None)
-            continue
-        h_star[i] = res.strategy.h
-        H_star[i] = res.strategy.H
-        values[i] = res.value
+    failed = np.array([isinstance(res, Exception) for res in outcomes])
+    for i in np.flatnonzero(~failed):
+        res = outcomes[i]
+        h_star[i], H_star[i], values[i] = res.strategy.h, res.strategy.H, res.value
         stationary[i] = res.stationary
-        messages.append(res.message)
-        results.append(res)
-    failed = np.array([r is None for r in results])
-    return SweepResult(np.array(param_list), h_star, H_star, values, stationary, failed,
-                       tuple(messages), tuple(results))
+    messages = tuple(str(res) if bad else res.message for res, bad in zip(outcomes, failed))
+    return SweepResult(param_list, h_star, H_star, values, stationary, failed, messages)
 
 
 def sweep_theta(model: FactorModel, theta_values, gamma=None,
                 config: OptimizerConfig | None = None) -> SweepResult:
-    """Optimize along an ascending list of risk sensitivities.
+    """Optimize along a list of risk sensitivities, in any order.
 
     Each point is optimized on its own, from its own grid scan, and comes out
     as :func:`optimize` returns it; all points are scored in shared engine

@@ -56,7 +56,7 @@ import scipy.linalg
 
 from .calibration import TimeSeriesData
 from .linalg import DimensionError, NumericError, psd_sqrt
-from .model import FactorModel, Strategy
+from .model import FactorModel, Strategy, _finite_real
 from .moments import _stack
 
 __all__ = [
@@ -109,16 +109,14 @@ class SimConfig:
     stationary_start: bool = True
 
     def __post_init__(self):
-        if not (self.dt > 0.0 and math.isfinite(self.dt)):
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if not (self.horizon > 0.0 and math.isfinite(self.horizon)):
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
-        if isinstance(self.paths, bool) or not isinstance(self.paths, (int, np.integer)):
-            raise ValueError(f"paths must be an integer, got {self.paths!r}")
+        for name, value in (("dt", self.dt), ("horizon", self.horizon)):
+            if not (_finite_real(value) and value > 0.0):
+                raise ValueError(f"{name} must be a finite positive number, got {value!r}")
+        for name, value in (("paths", self.paths), ("seed", self.seed)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.paths < 2:
             raise ValueError(f"need at least 2 paths, got {self.paths}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         for name in ("antithetic", "stationary_start"):
             if not isinstance(getattr(self, name), (bool, np.bool_)):
                 raise ValueError(f"{name} must be a boolean, got {getattr(self, name)!r}")

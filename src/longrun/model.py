@@ -232,6 +232,12 @@ def _numeric(name: str, value) -> np.ndarray:
         ) from exc
 
 
+def _finite_real(value) -> bool:
+    """A finite real number, not a boolean nor a string."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool) and bool(np.isfinite(value)))
+
+
 def _require_definite_diffusion(model: FactorModel) -> None:
     """Raise unless ``Sigma Sigma'`` is positive definite (from ``Sigma``: no Lyapunov solve)."""
     eigs = np.linalg.eigvalsh(model.Sigma @ model.Sigma.T)

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -50,21 +51,32 @@ def test_evaluate_gamma_term(model, hold_only):
     assert_allclose(w, mom.growth_rate + 0.01 * mom.wealth_factor_cov[0], rtol=1e-13)
 
 
-def test_evaluate_under_several_criteria():
-    # one row per criterion, each bit for bit what that criterion alone gives
+def test_evaluate_under_a_stack_of_criteria():
+    # row i under criterion i, bit for bit what that criterion alone gives row i
     model = random_stable_model(np.random.default_rng(21), 2, 3)
     rng = np.random.default_rng(22)
     stack = (rng.normal(size=(7, 2)), rng.normal(size=(7, 2, 3)))
-    one = Strategy(h=stack[0][0], H=stack[1][0])
-    criteria = [CriterionParams(theta=t, gamma=rng.normal(size=3)) for t in (0.0, 0.5, 4.0)]
-    rows = evaluate(model, stack, criteria)
-    assert rows.shape == (3, 7)
-    assert evaluate(model, one, criteria).shape == (3,)
-    for prm, row, w in zip(criteria, rows, evaluate(model, one, criteria)):
-        assert np.array_equal(row, evaluate(model, stack, prm))
-        assert w == evaluate(model, one, prm)
-    with pytest.raises(DimensionError, match="gamma"):
-        evaluate(model, stack, [criteria[0], CriterionParams(theta=1.0, gamma=np.zeros(2))])
+    theta = np.array([0.0, 0.5, 4.0, 1.0, 0.0, 2.0, 8.0])
+    gamma = rng.normal(size=(7, 3))
+    gamma[4] = 0.0
+    w = evaluate(model, stack, (theta, gamma))
+    assert w.shape == (7,)
+    for i in range(7):
+        assert w[i] == evaluate(model, stack, CriterionParams(theta=theta[i], gamma=gamma[i]))[i]
+    for bad in ((theta[:6], gamma), (theta, gamma[:, :2]), (theta[:, None], gamma),
+                (theta, gamma[:6])):
+        with pytest.raises(DimensionError, match="a stack of k criteria"):
+            evaluate(model, stack, bad)
+    with pytest.raises(DimensionError, match="one Strategy"):
+        evaluate(model, Strategy(h=stack[0][0], H=stack[1][0]), (theta[:1], gamma[:1]))
+    for t in (-0.5, np.nan, np.inf):
+        with pytest.raises(ModelValidationError, match="theta"):
+            evaluate(model, stack, (np.where(np.arange(7) == 3, t, theta), gamma))
+    for g in (np.nan, np.inf):
+        bad = gamma.copy()
+        bad[2, 1] = g
+        with pytest.raises(ModelValidationError, match="gamma"):
+            evaluate(model, stack, (theta, bad))
 
 
 def test_zero_strategy_evaluates_to_zero(model):
@@ -210,7 +222,6 @@ def test_ratio_needs_scalar_case():
         stationary=np.ones(1, dtype=bool),
         failed=np.zeros(1, dtype=bool),
         messages=("ok",),
-        results=(None,),
     )
     with pytest.raises(ValueError, match="m = n = 1"):
         res.ratio()
@@ -232,6 +243,30 @@ def test_optimizer_config_validation():
                         ("local_restarts", 2.5), ("grid_points", 61.0), ("grid_points", np.True_)):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             OptimizerConfig(**{name: value})
+    # the tolerance and the bounds take real numbers, finite, and no boolean
+    for value in (np.inf, np.nan, True, "x", None):
+        with pytest.raises(ValueError, match="simplex_tolerance must be"):
+            OptimizerConfig(simplex_tolerance=value)
+    for bounds in ((True, 3.0), (-3.0, np.True_), ("a", 1.0), (None, 1.0), (-np.inf, 1.0)):
+        with pytest.raises(ValueError, match="grid_bounds must be"):
+            OptimizerConfig(grid_bounds=bounds)
+    assert OptimizerConfig(grid_bounds=(np.int64(-2), 2), simplex_tolerance=np.float32(1e-8))
+
+
+def test_sweep_memory_grows_at_most_linearly_with_points(model):
+    # each row is scored under its own point's criterion: doubling the points
+    # at most doubles the traced peak (3.6x when every row was scored under
+    # every point's criterion)
+    config = OptimizerConfig(grid_points=11, local_restarts=2, max_iterations=200)
+    peaks = []
+    for points in (200, 400):
+        tracemalloc.start()
+        try:
+            sweep_theta(model, np.geomspace(0.5, 64.0, points), config=config)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2.5 * peaks[0], [p / 1e6 for p in peaks]
 
 
 def test_empty_sweep_rejected(model):

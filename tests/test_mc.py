@@ -53,6 +53,12 @@ def test_config_validation():
         SimConfig(dt=0.0, horizon=10.0, paths=16)
     with pytest.raises(ValueError, match="horizon"):
         SimConfig(dt=0.1, horizon=-1.0, paths=16)
+    # dt and horizon take finite real numbers, and no boolean or string
+    for name in ("dt", "horizon"):
+        for value in (True, np.True_, "0.1", None, np.inf, np.nan):
+            with pytest.raises(ValueError, match=f"{name} must be a finite positive number"):
+                SimConfig(**{"dt": 0.1, "horizon": 10.0, "paths": 16, name: value})
+    assert SimConfig(dt=np.float32(0.5), horizon=np.int64(10), paths=16).horizon == 10
     with pytest.raises(ValueError, match="paths"):
         SimConfig(dt=0.1, horizon=10.0, paths=1)
     with pytest.raises(ValueError, match="factor_scheme"):

@@ -116,16 +116,23 @@ def _calibrated():
 
 
 def _assert_points_as_alone(model, sweep, make_params, config):
-    """Every point of ``sweep`` is what optimize returns, or raises, at that point alone."""
+    """Every point of ``sweep`` is what optimize returns, or raises, at that point alone.
+
+    The per-point results come from the routine the sweep ran,
+    :func:`criterion._optimize`, on the sweep's points together.
+    """
+    with warnings.catch_warnings(record=True):
+        results = criterion._optimize(model, [make_params(p) for p in sweep.parameter_values],
+                                      config)
     for i, p in enumerate(sweep.parameter_values):
         try:
             with warnings.catch_warnings(record=True):
                 alone = optimize(model, make_params(p), config)
         except UnboundedCriterionError as err:
-            assert sweep.failed[i] and sweep.results[i] is None
+            assert sweep.failed[i] and isinstance(results[i], UnboundedCriterionError)
             assert sweep.messages[i] == str(err)
             continue
-        res = sweep.results[i]
+        res = results[i]
         assert not sweep.failed[i]
         for got in (res.strategy.h, sweep.h_star[i]):
             assert np.array_equal(got, alone.strategy.h), (i, got, alone.strategy.h)
