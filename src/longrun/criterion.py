@@ -187,7 +187,7 @@ def evaluate(model: FactorModel, strategy, params, factor_cov=None):
     :class:`~longrun.linalg.DimensionError` when gamma, the strategy or the
     criteria do not fit, and :class:`~longrun.model.ModelValidationError`
     where CriterionParams would.  As in :func:`~longrun.moments.moments`, a
-    single Strategy can differ from the same row of a stack by a few ulps.
+    single Strategy gives, bit for bit, the W of its row in any stack.
     """
     mom = moments(model, strategy)
     w = _values(mom, *_criteria(model, np.shape(mom.growth_rate), params))

@@ -2,14 +2,14 @@
 
 Everything here operates on the factor feedback matrix of a linear factor
 model, which must be a stability (Hurwitz) matrix: every eigenvalue has a
-strictly negative real part.  :func:`lyapunov_operator` LU-factors the
-n^2 x n^2 operator of ``S -> B S + S B'`` once per B, and
+strictly negative real part.  :func:`lyapunov_operator` builds and
+LU-factors the n^2 x n^2 operator of ``S -> B S + S B'`` once per B, and
 :func:`solve_lyapunov_stack` solves a stack of right-hand sides with those
-factors, checking every slice's residual.  The model's stationary covariance
-D and the moment engine's offsets S both take this route.  The solves are
-dense LAPACK calls sized for the n <= 8 systems this package works with;
-they enforce the residual contract of the callers rather than chasing
-large-scale performance.
+factors, checking every slice's residual (:func:`residual_failures`).  D
+takes this route; the moment engine's offsets S take :func:`lyapunov_inverse`
+and the same residual check.  The solves are dense LAPACK calls sized for
+the n <= 8 systems this package works with; they enforce the residual
+contract of the callers rather than chasing large-scale performance.
 """
 
 from __future__ import annotations
@@ -105,65 +105,64 @@ def check_stability(B) -> StabilityReport:
     )
 
 
-def _residual_failures(B: np.ndarray, S: np.ndarray, Q: np.ndarray):
-    """(bad, residual, scale) per slice of ``B S + S B' = Q``.
+def lyapunov_operator(B: np.ndarray):
+    """``(L, lu)``: the n^2 x n^2 matrix ``L = I (x) B + B (x) I`` of ``S -> B S + S B'``, and its LU factors.
 
-    A slice is bad as :func:`check_lyapunov_residual` defines it.
+    Row-major ``vec`` maps ``B S`` to ``(B (x) I) vec(S)`` and ``S B'`` to
+    ``(I (x) B) vec(S)``.  L is nonsingular when B is stable (its
+    eigenvalues are the pairwise sums of B's).
     """
-    rtol = LYAPUNOV_RTOL
-    scale = np.atleast_1d(np.linalg.norm(B) * np.linalg.norm(S, axis=(-2, -1))
-                          + np.linalg.norm(Q, axis=(-2, -1)))
-    residual = np.atleast_1d(np.linalg.norm(B @ S + S @ B.T - Q, axis=(-2, -1)))
-    bad = ~(np.isfinite(residual) & (residual <= rtol * np.maximum(scale, 1e-300)))
+    n = B.shape[0]
+    eye = np.eye(n)
+    L = (B[:, None, :, None] * eye[:, None, :] + eye[:, None, :, None] * B[:, None, :]).reshape(n * n, n * n)
+    return L, scipy.linalg.lapack.dgetrf(L)[:2]
+
+
+def residual_failures(L: np.ndarray, S: np.ndarray, Q: np.ndarray, B_norm: float):
+    """``(bad, residual, scale)`` per slice (n, n) of ``B S + S B' = Q``, given L of B and ``||B||``.
+
+    A slice is bad unless its residual is finite and at most ``rtol * scale``,
+    ``scale = ||B|| ||S|| + ||Q||``, with ``rtol = LYAPUNOV_RTOL`` as it is at
+    call time.  L is the matrix of :func:`lyapunov_operator`.
+    """
+    nn = L.shape[0]
+    S, Q = S.reshape(-1, nn), Q.reshape(-1, nn)
+    parts = np.concatenate([S, Q, S @ L.T - Q], axis=1).reshape(-1, 3, nn)
+    parts *= parts
+    S_norm, Q_norm, residual = np.sqrt(parts.sum(axis=-1)).T
+    scale = B_norm * S_norm + Q_norm
+    bad = ~(np.isfinite(residual) & (residual <= LYAPUNOV_RTOL * np.maximum(scale, 1e-300)))
     return bad, residual, scale
 
 
-def check_lyapunov_residual(B: np.ndarray, S: np.ndarray, Q: np.ndarray) -> None:
-    """Raise NumericError unless ``B S + S B' = Q`` to ``rtol * (||B|| ||S|| + ||Q||)``.
+def lyapunov_inverse(operator) -> np.ndarray:
+    """The inverse of the matrix of ``operator`` (:func:`lyapunov_operator`), from its LU factors.
 
-    ``rtol`` is ``LYAPUNOV_RTOL`` as it is at call time.  ``S`` and ``Q`` may
-    be stacks of shape (k, n, n); every slice is checked against its own
-    scale.
+    Applying it is a small matrix product; a LAPACK solve with many right-hand sides
+    takes OpenBLAS's threaded path, which in some processes stalls ~8 ms a call.
     """
-    bad, residual, scale = _residual_failures(B, S, Q)
-    if np.any(bad):
+    return scipy.linalg.lapack.dgetri(*operator[1])[0]
+
+
+def solve_lyapunov_stack(B: np.ndarray, operator, Q: np.ndarray) -> np.ndarray:
+    """Solve ``B S_i + S_i B' = Q_i`` for a stack Q of shape (k, n, n) in one solve.
+
+    ``operator`` is :func:`lyapunov_operator` of ``B``, which the caller has
+    checked to be stable (a :class:`~longrun.model.FactorModel` is).  Raises
+    :class:`NumericError` if a slice fails :func:`residual_failures`.  The
+    result is not symmetrized.
+    """
+    k, n = Q.shape[0], B.shape[0]
+    x, info = scipy.linalg.lapack.dgetrs(*operator[1], Q.reshape(k, n * n).T)
+    if info != 0:  # pragma: no cover - only for malformed arguments
+        raise NumericError(f"Lyapunov solve failed: getrs info {info}")
+    S = x.T.reshape(k, n, n)
+    bad, residual, scale = residual_failures(operator[0], S, Q, np.linalg.norm(B))
+    if bad.any():
         i = np.flatnonzero(bad)[0]
         raise NumericError(
             f"Lyapunov residual {residual[i]:.3e} exceeds {LYAPUNOV_RTOL:.1e} * {scale[i]:.3e}"
         )
-
-
-def lyapunov_operator(B: np.ndarray):
-    """LU factors of ``I (x) B + B (x) I``, the n^2 x n^2 matrix of ``S -> B S + S B'``.
-
-    Row-major ``vec`` maps ``B S`` to ``(B (x) I) vec(S)`` and ``S B'`` to
-    ``(I (x) B) vec(S)``.  The matrix is nonsingular when B is stable (its
-    eigenvalues are the pairwise sums of B's).
-    """
-    eye = np.eye(B.shape[0])
-    return scipy.linalg.lu_factor(np.kron(eye, B) + np.kron(B, eye), check_finite=False)
-
-
-def solve_lyapunov_stack(B: np.ndarray, lu, Q: np.ndarray, strict: bool = True) -> np.ndarray:
-    """Solve ``B S_i + S_i B' = Q_i`` for a stack Q of shape (k, n, n) in one solve.
-
-    ``lu`` is :func:`lyapunov_operator` of ``B``, which the caller has
-    checked to be stable (a :class:`~longrun.model.FactorModel` is).  Every
-    slice must pass :func:`check_lyapunov_residual`, else
-    :class:`NumericError`; with ``strict=False`` a slice that fails comes
-    back as NaN instead, and the others as they are.  Slices are solved
-    independently, so one overflowed Q_i does not touch the rest.  The result
-    is not symmetrized.
-    """
-    k, n = Q.shape[0], B.shape[0]
-    x, info = scipy.linalg.lapack.dgetrs(*lu, Q.reshape(k, n * n).T)
-    if info != 0:  # pragma: no cover - only for malformed arguments
-        raise NumericError(f"Lyapunov solve failed: getrs info {info}")
-    S = x.T.reshape(k, n, n)
-    if strict:
-        check_lyapunov_residual(B, S, Q)
-    else:
-        S[_residual_failures(B, S, Q)[0]] = np.nan
     return S
 
 

@@ -154,18 +154,14 @@ class FactorModel:
     @cached_property
     def prepared(self) -> PreparedModel:
         """The strategy-independent terms, built on first use and kept on this model."""
-        B, Sg, Lm = self.B, self.Sigma, self.Lambda
-        lu = lyapunov_operator(B)
-        for arr in lu:
-            arr.flags.writeable = False
-        D = solve_lyapunov_stack(B, lu, -(Lm @ Lm.T)[None])[0]
-        return PreparedModel(
-            D=_freeze(0.5 * (D + D.T)),
-            SS=_freeze(Sg @ Sg.T),
-            LS=_freeze(Lm @ Sg.T),
-            B_inv=_freeze(np.linalg.inv(B)),
-            lyapunov=lu,
-        )
+        from .moments import moment_form      # the engine owns its form's layout
+        B = self.B
+        operator = lyapunov_operator(B)
+        D = solve_lyapunov_stack(B, operator, -(self.Lambda @ self.Lambda.T)[None])[0]
+        D = 0.5 * (D + D.T)
+        SS = self.Sigma @ self.Sigma.T
+        return PreparedModel(D=_freeze(D), SS=_freeze(SS), form=_freeze(moment_form(self, D, SS, operator)),
+                             lyapunov=_freeze(operator[0]), B_norm=float(np.linalg.norm(B)))
 
 
 @dataclass(frozen=True)
@@ -181,20 +177,20 @@ class PreparedModel:
         Stationary factor covariance, solving ``B D + D B' + Lambda Lambda' = 0``.
     SS : ndarray, shape (m, m)
         Return diffusion covariance ``Sigma Sigma'``.
-    LS : ndarray, shape (n, m)
-        ``Lambda Sigma'``.
-    B_inv : ndarray, shape (n, n)
-        Inverse of ``B`` (B is stable, hence invertible).
-    lyapunov : tuple
-        LU factors of the n^2 x n^2 Lyapunov operator ``I (x) B + B (x) I``
-        (:func:`longrun.linalg.lyapunov_operator`).
+    form : ndarray, shape ((d+1)(d+2)/2, 2 + m + 2n + 3n^2), d = m + m n
+        Every moment of a strategy, and the offset's right-hand side Q, as a
+        quadratic form in z = (1, h, vec H) (:func:`longrun.moments.moment_form`).
+    lyapunov : ndarray, shape (n^2, n^2)
+        The matrix ``I (x) B + B (x) I`` of the Lyapunov operator
+        (:func:`longrun.linalg.lyapunov_operator`), and ``B_norm``, the
+        Frobenius norm of B: what the offsets' residual check applies.
     """
 
     D: np.ndarray
     SS: np.ndarray
-    LS: np.ndarray
-    B_inv: np.ndarray
-    lyapunov: tuple
+    form: np.ndarray
+    lyapunov: np.ndarray
+    B_norm: float
 
 
 def validate_model(a, A, B, Sigma, Lambda) -> FactorModel:

@@ -12,18 +12,16 @@ x(t) satisfy, as t grows:
 with every coefficient in closed form in terms of the stationary factor
 covariance D.  Two independent code paths compute them:
 
-* :func:`moments`: the matrix engine, valid for any (m, n).  Everything that
-  depends only on the model (D from one Lyapunov solve, Sigma Sigma',
-  Lambda Sigma', B^-1 and the LU factors of the n^2 x n^2 Lyapunov
-  operator) is computed once per model and kept on it
-  (``FactorModel.prepared``).  A strategy then costs a few small matrix
-  products and one more Lyapunov equation for the offset S, and a stack of
-  k strategies, ``h`` of shape (k, m) and ``H`` of shape (k, m, n), is
-  evaluated at once: its k offsets are one multi-right-hand-side solve with
-  the factored operator (:func:`~longrun.linalg.solve_lyapunov_stack`, the
-  route D takes too), each passing the residual check of
-  :func:`~longrun.linalg.check_lyapunov_residual`.  Every moment is a field
-  of its result.
+* :func:`moments`: the matrix engine, valid for any (m, n).  With
+  z = (1, h, vec H), every moment of a strategy, the offset S included, is a
+  quadratic form in z whose coefficients (:func:`moment_form`) depend only
+  on the model: they are built once, S's as Q's times the inverse of the
+  factored Lyapunov operator, and kept on the model with D
+  (``FactorModel.prepared``).  A stack of k strategies, ``h`` of shape
+  (k, m) and ``H`` of shape (k, m, n), then costs k vector-matrix products
+  of z z' with them, and every S passes the residual check of
+  :func:`~longrun.linalg.residual_failures` against its own right-hand
+  side.  Every moment is a field of the result.
 * :func:`scalar_moments`: explicit scalar algebra for the one-asset,
   one-factor case with the diffusion convention Sigma = (sig, eta),
   Lambda = (0, lam).  It shares no linear-algebra code with the matrix
@@ -36,11 +34,12 @@ this on a grid and validates both against the Monte Carlo oracle in
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimensionError, NumericError, solve_lyapunov_stack
+from .linalg import DimensionError, NumericError, lyapunov_inverse, residual_failures
 from .model import FactorModel, ModelValidationError, Strategy
 
 __all__ = [
@@ -87,6 +86,10 @@ class AsymptoticMoments:
     second_moment_slope: np.ndarray
 
 
+# The engine forms z z' for at most this many pairs at a time: its memory stays bounded.
+_PAIRS_AT_ONCE = 1 << 16
+
+
 def stationary_covariance(model: FactorModel) -> np.ndarray:
     """Stationary covariance of the factor process (symmetric PSD, read-only)."""
     return model.prepared.D
@@ -113,6 +116,61 @@ def _stack(model: FactorModel, strategy):
     return h, H
 
 
+@functools.cache
+def _upper_pairs(size: int) -> np.ndarray:
+    """The (2, Z) read-only index pairs p <= q of a size x size matrix, row by row."""
+    pairs = np.array(np.nonzero(~np.tri(size, k=-1, dtype=bool)))
+    pairs.flags.writeable = False
+    return pairs
+
+
+def moment_form(model: FactorModel, D: np.ndarray, SS: np.ndarray, operator) -> np.ndarray:
+    """The (Z, 2 + m + 2n + 3n^2) coefficients of the moments as quadratic forms in z = (1, h, vec H).
+
+    Row j holds the coefficients of z_p z_q, (p, q) = ``_upper_pairs(d + 1)[:, j]``
+    with d = m + m n, in the fields K, tr(D H'SS'H), P, Y, M = 2H'A - H'SS'H,
+    Q and S (the last three n^2 each, row-major).  The offset S solves
+    B S + S B' = Q, Q = -(D M D) - 2 Lambda Sigma' H D symmetrized (a no-op for
+    n = 1; for n > 1 what makes S the genuine, symmetric, constant term of
+    E[u x x'], as the Monte Carlo oracle confirms), so S's block is Q's times
+    the inverse operator, from ``operator`` (:func:`~longrun.linalg.lyapunov_operator` of B).
+    """
+    a, A, B, Sg, Lm = model.a, model.A, model.B, model.Sigma, model.Lambda
+    m, n = A.shape
+    mn, nn, d, o, eye = m * n, n * n, m + m * n, 2 + m + 2 * n, np.eye(n)
+    h, H, PY = slice(1, m + 1), slice(m + 1, d + 1), slice(2, o)
+    M, Q = slice(o, o + nn), slice(o + nn, o + 2 * nn)
+    Bi = np.linalg.inv(B)
+    W = np.concatenate([D @ Bi.T, Bi @ Lm], axis=1)
+    AD = A @ D
+    # C[p, q] holds the coefficient of z_p z_q; only C[p, q] + C[q, p] counts
+    C = np.zeros((d + 1, d + 1, o + 3 * nn))
+    # K = h'a - h'SS'h / 2 + <D, H'A> - tr(D H'SS'H) / 2
+    C[0, h, 0] = a
+    C[h, h, 0] = -0.5 * SS
+    C[0, H, 0] = AD.ravel()
+    C[H, H, :2] = (SS[:, None, :, None] * D[:, None, :]).reshape(mn, mn, 1) * np.array([-0.5, 1.0])
+    # P = (row D - h'Sigma Lambda') B^-T and Y = row B^-1 Lambda + h'Sigma, row = h'SS'H - h'A - a'H
+    C[0, h, PY] = np.concatenate([-(Sg @ W[:, n:].T), Sg], axis=1) - A @ W
+    C[0, H, PY] = -(a[:, None, None] * W).reshape(mn, -1)
+    C[h, H, PY] = (SS[:, :, None, None] * W).reshape(m, mn, -1)
+    # M = 2H'A - H'SS'H
+    C[0, H, M] = 2.0 * (eye[:, :, None] * A[:, None, None, :]).reshape(mn, nn)
+    SS6 = SS[:, None, :, None, None, None]
+    C[H, H, M] = -(SS6 * eye[:, None, None, :, None] * eye[:, None, :]).reshape(mn, mn, nn)
+    # Q: its linear part symmetrized here, its quadratic part once folded below
+    X = D[:, :, None] * AD[:, None, None, :] + (Sg @ Lm.T)[:, None, :, None] * D[:, None, :]
+    C[0, H, Q] = -(X + X.transpose(0, 1, 3, 2)).reshape(mn, nn)
+    C[H, H, Q] = (SS6 * D[:, None, None, :, None] * D[:, None, :]).reshape(mn, mn, nn)
+    diagonal = np.arange(d + 1)
+    C[diagonal, diagonal] *= 0.5
+    iu, ju = _upper_pairs(d + 1)
+    form = C[iu, ju] + C[ju, iu]
+    # unchecked here: the engine holds every offset it computes to the residual check
+    form[:, Q.stop:] = form[:, Q] @ lyapunov_inverse(operator).T
+    return form
+
+
 def _engine(model: FactorModel, h: np.ndarray, H: np.ndarray,
             check: bool = True) -> AsymptoticMoments:
     """All long-run moments of the strategy stack ``h`` (k, m), ``H`` (k, m, n).
@@ -121,48 +179,41 @@ def _engine(model: FactorModel, h: np.ndarray, H: np.ndarray,
     rows that overflow come back non-finite instead, the others as they are.
     """
     pm = model.prepared
-    a, A, B = model.a, model.A, model.B
-    D, SS = pm.D, pm.SS
-    Ht = np.swapaxes(H, -1, -2)
+    m, n, k = model.m, model.n, len(h)
+    iu, ju = _upper_pairs(1 + m + m * n)
+    z = np.concatenate([np.ones((k, 1)), h, H.reshape(k, m * n)], axis=1)
+    step = max(1, _PAIRS_AT_ONCE // len(iu))
     # NumPy tests its floating-point flags after every operation anyway; the
     # callback only records an overflow, so finite moments cost no extra pass.
     overflow = []
     with np.errstate(over="call", invalid="call", call=lambda *_: overflow.append(True)):
-        SSh = h @ SS                                     # (k, m); SS is symmetric
-        HtSSH = Ht @ (SS @ H)                            # (k, n, n)
-        M = 2.0 * (Ht @ A) - HtSSH                       # twice the factor tilt of the growth rate
-
-        # tr(D X) = sum(D * X) for symmetric D, and likewise for S below
-        K = h @ a - 0.5 * np.sum(h * SSh, axis=-1) + 0.5 * np.sum(D * M, axis=(-2, -1))
-
-        # long-run shock loading of u: direct diffusion plus the factor feedback
-        row = (SSh[:, None, :] @ H)[:, 0] - h @ A - a @ H      # (k, n) = H'SS'h - A'h - H'a
-        P = (row @ D - h @ pm.LS.T) @ pm.B_inv.T               # B^-1 (D row - Lambda Sigma' h)
-        Y = (row @ pm.B_inv) @ model.Lambda + h @ model.Sigma  # (k, m+n)
-
-        # The offset S solves a Lyapunov equation whose right-hand side is
-        # symmetrized first: a no-op for n = 1, and for n > 1 what makes S the
-        # genuine (symmetric) constant term of E[u x x'], as the Monte Carlo
-        # oracle confirms.
-        Q = -(D @ M @ D) - 2.0 * (pm.LS @ H) @ D
-        Q = 0.5 * (Q + np.swapaxes(Q, -1, -2))
-        # A row that fails the residual check comes back NaN. An overflow, which
-        # may first happen inside the check (the norms of S square it), names
-        # the row below; a failure that no overflow explains is the solve's own.
-        S = solve_lyapunov_stack(B, pm.lyapunov, Q, strict=False)
-        if not overflow and np.isnan(S).any():
-            raise NumericError("Lyapunov residual of the offset S exceeds its tolerance")
-        S = 0.5 * (S + np.swapaxes(S, -1, -2))
-
-        rate = np.sum(Y * Y, axis=-1) + np.sum(S * M + D * HtSSH, axis=(-2, -1))
+        out = np.empty((k, pm.form.shape[1]))
+        for i in range(0, k, step):
+            zi = z[i:i + step]
+            # one vector-matrix product per row, so a row rounds alike in any stack
+            out[i:i + step] = ((zi.take(iu, axis=1) * zi.take(ju, axis=1))[:, None] @ pm.form)[:, 0]
+        o = 2 + m + 2 * n
+        K, P, Y = out[:, 0], out[:, 2:2 + n], out[:, 2 + n:o]
+        MQS = out[:, o:].reshape(k, 3, n, n)
+        M, Q, S = MQS[:, 0], MQS[:, 1], MQS[:, 2]
+        S = 0.5 * (S + S.transpose(0, 2, 1))
+        # A row whose S fails its residual check comes back NaN. An overflow, which may
+        # first happen inside the check (the norms of S square it), names the row
+        # below; a failure that no overflow explains is the form's own.
+        bad = residual_failures(pm.lyapunov, S, Q, pm.B_norm)[0]
+        if bad.any():
+            if not overflow:
+                raise NumericError("Lyapunov residual of the offset S exceeds its tolerance")
+            S[bad] = np.nan
+        rate = (Y * Y).sum(axis=-1) + (S * M).sum(axis=(-2, -1)) + out[:, 1]
         mom = AsymptoticMoments(
             growth_rate=K,
             variance_rate=rate,
             wealth_factor_cov=P,
-            factor_cov=D,
+            factor_cov=pm.D,
             shock_loading=Y,
             second_moment_offset=S,
-            second_moment_slope=K[:, None, None] * D,
+            second_moment_slope=K[:, None, None] * pm.D,
         )
     if overflow and check:
         for name, value in vars(mom).items():
@@ -180,23 +231,15 @@ def moments(model: FactorModel, strategy) -> AsymptoticMoments:
     :class:`~longrun.linalg.DimensionError` when the shapes do not fit the
     model, and :class:`~longrun.linalg.NumericError`, naming the first
     moment in field order that overflows (for any row of a stack), without
-    a floating-point warning.  A single Strategy can differ from the same
-    strategy inside a stack by a few ulps (up to about 4e-15 relative):
-    NumPy takes a one-row matrix product by its vector-matrix path, which
-    rounds differently.
+    a floating-point warning.  A single Strategy gives, bit for bit, the
+    moments of its row in any stack.
     """
     mom = _engine(model, *_stack(model, strategy))
     if not isinstance(strategy, Strategy):
         return mom
-    return AsymptoticMoments(
-        growth_rate=float(mom.growth_rate[0]),
-        variance_rate=float(mom.variance_rate[0]),
-        wealth_factor_cov=mom.wealth_factor_cov[0],
-        factor_cov=mom.factor_cov,
-        shock_loading=mom.shock_loading[0],
-        second_moment_offset=mom.second_moment_offset[0],
-        second_moment_slope=mom.second_moment_slope[0],
-    )
+    one = {name: value if name == "factor_cov" else value[0] for name, value in vars(mom).items()}
+    one["growth_rate"], one["variance_rate"] = float(one["growth_rate"]), float(one["variance_rate"])
+    return AsymptoticMoments(**one)
 
 
 def scalar_moments(model: FactorModel, strategy: Strategy) -> AsymptoticMoments:

@@ -7,6 +7,7 @@ products).
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,20 +69,23 @@ def test_engine_matches_loop_reference(k, theta):
         h = rng.uniform(-2.0, 2.0, (k, m))
         H = rng.uniform(-2.0, 2.0, (k, m, n))
         prm = CriterionParams(theta=theta, gamma=rng.normal(scale=0.3, size=n))
-        mom = moments(model, (h, H))
-        W = evaluate(model, (h, H), prm)
-        assert mom.growth_rate.shape == (k,) and W.shape == (k,)
-        assert mom.second_moment_offset.shape == (k, n, n)
-        for i in range(k):
-            want = reference(model, h[i], H[i], theta, prm.gamma)
-            got = (mom.growth_rate[i], mom.variance_rate[i], mom.wealth_factor_cov[i],
-                   mom.shock_loading[i], mom.second_moment_offset[i], W[i])
-            for g, r in zip(got, want):
-                assert_allclose(g, r, rtol=RTOL)
-        assert_allclose(mom.factor_cov, stationary_covariance(model), rtol=0, atol=0)
+        for scale in (1.0, 1e3):            # large strategies: the engine's coefficients must be exact
+            mom = moments(model, (scale * h, scale * H))
+            W = evaluate(model, (scale * h, scale * H), prm)
+            assert mom.growth_rate.shape == (k,) and W.shape == (k,)
+            assert mom.second_moment_offset.shape == (k, n, n)
+            for i in range(k):
+                want = reference(model, scale * h[i], scale * H[i], theta, prm.gamma)
+                got = (mom.growth_rate[i], mom.variance_rate[i], mom.wealth_factor_cov[i],
+                       mom.shock_loading[i], mom.second_moment_offset[i], W[i])
+                for g, r in zip(got, want):
+                    assert_allclose(g, r, rtol=RTOL)
+            assert_allclose(mom.factor_cov, stationary_covariance(model), rtol=0, atol=0)
 
 
 def test_batched_equals_pointwise():
+    # A Strategy is a stack of one row, and every row takes the same
+    # vector-matrix product: it equals its row of any stack bit for bit.
     rng = np.random.default_rng(7)
     for model in cases():
         m, n = model.m, model.n
@@ -93,33 +97,46 @@ def test_batched_equals_pointwise():
         for i in range(6):
             one = moments(model, Strategy(h=h[i], H=H[i]))
             assert isinstance(one.growth_rate, float) and isinstance(one.variance_rate, float)
-            assert_allclose(stack.growth_rate[i], one.growth_rate, rtol=RTOL)
-            assert_allclose(stack.variance_rate[i], one.variance_rate, rtol=RTOL)
-            assert_allclose(stack.wealth_factor_cov[i], one.wealth_factor_cov, rtol=RTOL)
-            assert_allclose(stack.shock_loading[i], one.shock_loading, rtol=RTOL)
-            assert_allclose(stack.second_moment_offset[i], one.second_moment_offset, rtol=RTOL)
-            assert_allclose(stack.second_moment_slope[i], one.second_moment_slope, rtol=RTOL)
+            for name, value in vars(one).items():
+                row = stack.factor_cov if name == "factor_cov" else getattr(stack, name)[i]
+                assert np.array_equal(value, row), name
             w = evaluate(model, Strategy(h=h[i], H=H[i]), prm)
             assert isinstance(w, float)
-            assert_allclose(W[i], w, rtol=RTOL)
+            assert w == W[i]
 
 
 def test_prepared_model_is_read_only_and_cached():
     model = random_stable_model(np.random.default_rng(3), 2, 2)
     pm = model.prepared
     assert model.prepared is pm
-    for arr in (pm.D, pm.SS, pm.LS, pm.B_inv, *pm.lyapunov):
+    for arr in (pm.D, pm.SS, pm.form, pm.lyapunov):
         assert not arr.flags.writeable
     with pytest.raises(ValueError):
         pm.D[0, 0] = 1.0
     assert_allclose(pm.D, scipy.linalg.solve_continuous_lyapunov(model.B, -model.Lambda @ model.Lambda.T),
                     rtol=1e-12)
-    assert_allclose(pm.B_inv @ model.B, np.eye(2), atol=1e-12)
+    assert pm.form.shape == (7 * 8 // 2, 2 + 2 + 2 * 2 + 3 * 4)     # z has 1 + m + m n = 7 entries
     strat = Strategy(h=[0.3, -0.2], H=[[0.5, 0.1], [-0.4, 0.2]])
     first, again = moments(model, strat), moments(model, strat)
     assert first.growth_rate == again.growth_rate
     assert first.variance_rate == again.variance_rate
     assert np.array_equal(first.second_moment_offset, again.second_moment_offset)
+
+
+def test_large_stack_memory_is_bounded():
+    # the pairs p <= q of z z' for 4,096 rows of an 8 x 8 model take 88 MB at
+    # once; the engine forms them a slice of rows at a time
+    model = random_stable_model(np.random.default_rng(3), 8, 8)
+    rng = np.random.default_rng(4)
+    stack = (rng.uniform(-1.0, 1.0, (4096, 8)), rng.uniform(-1.0, 1.0, (4096, 8, 8)))
+    model.prepared
+    tracemalloc.start()
+    try:
+        moments(model, stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
 
 
 def test_replaced_model_gets_its_own_cache():

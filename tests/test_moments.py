@@ -209,12 +209,14 @@ def test_overflowed_row_fails_its_stack():
 
 def test_unchecked_engine_keeps_the_finite_rows():
     model = random_stable_model(np.random.default_rng(5), 3, 2)
-    h, H = np.ones((3, 3)), np.ones((3, 3, 2))
+    h, H = np.ones((4, 3)), np.ones((4, 3, 2))
     H[1, 0, 0] = 1e200
+    H[3, 0, 0] = 1e150        # S is finite, but its residual check overflows
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         mom = _engine(model, h, H, check=False)
     assert not np.isfinite(mom.growth_rate[1])
+    assert np.isfinite(mom.growth_rate[3]) and np.isnan(mom.second_moment_offset[3]).all()
     keep = moments(model, (h[[0, 2]], H[[0, 2]]))
     for name in ("growth_rate", "variance_rate", "wealth_factor_cov", "second_moment_offset"):
         assert_allclose(getattr(mom, name)[[0, 2]], getattr(keep, name), rtol=1e-13, err_msg=name)
