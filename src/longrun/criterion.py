@@ -13,12 +13,15 @@ h at each point.  The whole scan (a grid_points^(m n) mesh when m n <= 2,
 else a 4,096-point Latin hypercube) is h-solved and scored in one call of
 the batched moment engine (:mod:`longrun.moments`).  W is a quartic
 polynomial in (h, H), so a 5-point central difference is its exact gradient
-up to rounding.  One BFGS ascent carries every start: each round scores the
-trial points of all starts still running, with their gradients, in one
-engine call.  A trial is kept if it passes the Armijo test, else its step is
-halved.  A start stops when its largest |gradient| entry is at most 1e-9,
-after max_iterations kept steps, or when the gain its step predicts falls
-below the rounding of W.  The stationarity test takes one more engine call.
+up to rounding, and so are its second differences.  One BFGS ascent carries
+every start: its first step is the Newton step of the diagonal of second
+differences along H where all are negative, else a gradient step of length
+min(1, |g|); each round scores the trial points of all starts still running,
+with their gradients, in one engine call.  A trial is kept if it passes the
+Armijo test, else its step is halved.  A start stops when its largest
+|gradient| entry is at most 1e-9, after max_iterations kept steps, or when
+the gain its step predicts falls below the rounding of W.  The stationarity
+test takes one more engine call.
 
 A sweep optimizes each of its points independently, but scores them
 together: the scans go to the engine in slices of whole points, at most
@@ -26,8 +29,8 @@ together: the scans go to the engine in slices of whole points, at most
 BFGS ascent carries every point's starts (h* solved for all of them at
 once), and one call runs every point's stationarity test, each row scored
 under its own point's theta and gamma alone.  So a 13-point sweep makes about
-as many engine calls as one optimize, and each point's result is bit for bit
-what optimize returns there.
+as many engine calls as one optimize (8 each on the calibrated model), and
+each point's result is bit for bit what optimize returns there.
 A point whose W has no maximum is flagged before any scoring.
 
 Unboundedness is decided exactly.  With SS' = Sigma Sigma', D the
@@ -80,6 +83,7 @@ _STENCIL_STEP = 1e-3
 _STATIONARITY_NORM = 1e-6
 _GTOL = 1e-3 * _STATIONARITY_NORM   # per H partial: restarts at one optimum agree well below 1e-6
 _ARMIJO = 1e-4              # share of the predicted gain a kept step must reach
+_SHIFTS = np.array([2.0, 1.0, -1.0, -2.0])   # the stencil's steps, in row order
 _EPS = np.finfo(float).eps
 
 
@@ -205,9 +209,9 @@ def _criteria(model: FactorModel, shape: tuple, params) -> tuple:
         got = f"k={shape[0]}" if shape else "one Strategy"
         raise DimensionError(f"a stack of k criteria takes theta (k,) and gamma (k, n={model.n}) "
                              f"for k strategies; got {theta.shape} and {gamma.shape} for {got}")
-    if not np.all(np.isfinite(theta) & (theta >= 0.0)):
+    if not (np.isfinite(theta) & (theta >= 0.0)).all():
         raise ModelValidationError(["theta must be finite and >= 0"])
-    if not np.all(np.isfinite(gamma)):
+    if not np.isfinite(gamma).all():
         raise ModelValidationError(["gamma contains non-finite entries"])
     return theta, gamma
 
@@ -215,7 +219,7 @@ def _criteria(model: FactorModel, shape: tuple, params) -> tuple:
 def _values(mom: AsymptoticMoments, theta, gamma) -> np.ndarray:
     """W from the moments of one strategy or a stack, under criteria that broadcast to them."""
     return (mom.growth_rate - 0.25 * theta * mom.variance_rate
-            + np.sum(mom.wealth_factor_cov * gamma, axis=-1))
+            + (mom.wealth_factor_cov * gamma).sum(axis=-1))
 
 
 def _scan_points(config: OptimizerConfig, dim: int) -> np.ndarray:
@@ -235,13 +239,12 @@ def _scan_points(config: OptimizerConfig, dim: int) -> np.ndarray:
 def _h_terms(model: FactorModel, params: CriterionParams) -> tuple:
     """Raise if W has no maximum; else the criterion's terms ``(theta, D w, r0)`` of h*.
 
-    Raises :class:`~longrun.model.ModelValidationError` unless SS' is positive
-    definite, and :class:`~longrun.linalg.DimensionError` when ``gamma`` does
-    not have length n.
+    Raises :class:`~longrun.linalg.DimensionError` when ``gamma`` does not
+    have length n.  The unboundedness rule holds for SS' positive definite,
+    which the caller has checked.
     """
     _criteria(model, (), params)        # raises unless gamma has length n
-    _require_definite_diffusion(model)
-    w = np.linalg.solve(model.B.T, params.gamma)
+    w = params.gamma @ model.prepared.B_inv         # B^-T gamma
     dw = model.prepared.D @ w
     if params.theta == 0.0 and float(w @ dw) > 1.0:
         H = np.outer(np.linalg.eigh(model.prepared.SS)[1][:, -1], w)   # along the top eigenvector of SS'
@@ -255,27 +258,22 @@ def _h_solver(model: FactorModel):
     """``(H, theta, dw, r0) -> h*``: the maximizing h at each H of a stack (k, m, n).
 
     h* solves (SS' + (theta/2) G'G) h = a - (theta/2) G'y0 + (SS'H D - A D - Sigma Lambda') w
-    with G = Sigma' + Lambda'B^-T (H'SS' - A'), y0 = -Lambda'B^-T H'a.  The
-    criterion's terms ``theta``, ``dw`` and ``r0`` come from :func:`_h_terms`,
-    and may carry one row per strategy, so rows of different criteria are
-    solved together.
+    with G = G0 + K H'SS', G0 = Sigma' - K A', K = Lambda'B^-T (both on
+    ``FactorModel.prepared``) and y0 = -K H'a.  The criterion's terms
+    ``theta``, ``dw`` and ``r0`` come from :func:`_h_terms`, and may carry one
+    row per strategy, so rows of different criteria are solved together.
     """
-    a, SS = model.a, model.prepared.SS
-    K = np.linalg.solve(model.B, model.Lambda).T        # Lambda' B^-T
-    G0 = model.Sigma.T - K @ model.A.T
+    pm = model.prepared
+    a_col, SS, K, G0 = model.a[:, None], pm.SS, pm.K, pm.G0
 
     def h_star(H: np.ndarray, theta, dw: np.ndarray, r0: np.ndarray) -> np.ndarray:
-        Ht = np.swapaxes(H, -1, -2)
-        G = G0 + K @ Ht @ SS
-        Gt = np.swapaxes(G, -1, -2)
-        # One row would take NumPy's vector-matrix path, which rounds
-        # differently from the matrix product: two rows keep a row's h*
-        # independent of the rows solved with it.
-        Ha = Ht @ a
-        Ka = (np.concatenate([Ha, Ha]) @ K.T)[:len(H)]
-        half = 0.5 * np.asarray(theta)[..., None]
-        r = r0 + (H @ dw[..., None])[..., 0] @ SS + half * (Gt @ Ka[..., None])[..., 0]
-        return np.linalg.solve(SS + half[..., None] * (Gt @ G), r[..., None])[..., 0]
+        KHt = K @ H.swapaxes(-1, -2)
+        G = G0 + KHt @ SS
+        Gt = G.swapaxes(-1, -2)
+        half = 0.5 * np.asarray(theta)[..., None, None]
+        # products of whole matrices: a row's h* does not depend on the rows solved with it
+        r = r0[..., None] + SS @ (H @ dw[..., None]) + half * (Gt @ (KHt @ a_col))
+        return np.linalg.solve(SS + half * (Gt @ G), r)[..., 0]
 
     return h_star
 
@@ -289,56 +287,64 @@ def _unbounded(direction: np.ndarray, reason: str):
     )
 
 
-def _stencil(score, x: np.ndarray, coords) -> tuple:
-    """W at ``x`` and its 5-point-stencil gradient along ``coords``.
+def _stencil(score, x: np.ndarray, coords, curvature: bool = False) -> tuple:
+    """W at ``x``, its 5-point gradient along ``coords`` and, with ``curvature``, its second differences.
 
     ``x`` is one point (dim,) or a stack of r points (r, dim).  ``score`` maps
     a (k, dim) stack to (k,) values; one call scores r (1 + 4 len(coords)) rows.
     """
-    X = np.atleast_2d(x)
+    X = x if x.ndim == 2 else x[None]
     steps = _STENCIL_STEP * (1.0 + np.abs(X[:, coords]))
     E = np.eye(X.shape[1])[coords] * steps[..., None]
-    shifted = X[:, None] + np.multiply.outer([2.0, 1.0, -1.0, -2.0], E)
-    f = score(np.vstack([X, shifted.reshape(-1, X.shape[1])]))
-    p2, p1, m1, m2 = f[len(X):].reshape(4, len(X), -1)
-    g = (8.0 * (p1 - m1) - (p2 - m2)) / (12.0 * steps)
-    return (f[0], g[0]) if x.ndim == 1 else (f[:len(X)], g)
+    shifted = X[:, None] + np.multiply.outer(_SHIFTS, E)
+    f = score(np.concatenate([X, shifted.reshape(-1, X.shape[1])]))
+    f0, (p2, p1, m1, m2) = f[:len(X)], f[len(X):].reshape(4, len(X), -1)
+    out = [f0, (8.0 * (p1 - m1) - (p2 - m2)) / (12.0 * steps)]
+    if curvature:
+        out.append((16.0 * (p1 + m1) - (p2 + m2) - 30.0 * f0[:, None]) / (12.0 * steps * steps))
+    return tuple(v[0] for v in out) if x.ndim == 1 else tuple(out)
 
 
 def _refine(objective, starts: np.ndarray, max_iterations: int) -> tuple:
     """BFGS ascent from every row of ``starts`` at once, by the rules of the module docstring.
 
-    ``objective(X, i)`` maps a stack of points, the current points of the
-    starts ``i``, to their values and gradients.
+    ``objective(X, i, curvature=False)`` maps a stack of points, the current
+    points of the starts ``i``, to their values and gradients, and with
+    ``curvature`` also their second differences (:func:`_stencil`).
     """
     X = starts.copy()
-    W, G = objective(X, np.arange(len(X)))
+    W, G, C = objective(X, np.arange(len(X)), True)
     eye = np.eye(X.shape[1])
-    inv_hess = np.tile(eye, (len(X), 1, 1))
-    alpha = 1.0 / np.maximum(1.0, np.linalg.norm(G, axis=1))
+    # the first steps of the module docstring; a start not concave scales its inverse Hessian later
+    concave = (C < 0.0).all(axis=1)
+    inv_hess = eye * (-1.0 / np.where(concave[:, None], C, -1.0))[:, None]
+    alpha = np.where(concave, 1.0, 1.0 / np.maximum(1.0, np.sqrt((G * G).sum(axis=1))))
     kept = np.zeros(len(X), dtype=int)
-    fresh = np.ones(len(X), dtype=bool)       # inverse Hessian not yet scaled
+    fresh = ~concave
     while True:
-        P = np.einsum("rij,rj->ri", inv_hess, G)
-        gain = alpha * np.einsum("ri,ri->r", G, P)
-        i = np.flatnonzero((np.abs(G).max(axis=1) > _GTOL) & (kept < max_iterations)
-                           & (gain > _EPS * np.abs(W)))
+        P = (inv_hess @ G[:, :, None])[:, :, 0]
+        gain = alpha * (G * P).sum(axis=1)
+        i = ((np.abs(G).max(axis=1) > _GTOL) & (kept < max_iterations)
+             & (gain > _EPS * np.abs(W))).nonzero()[0]
         if i.size == 0:
             return X, W
         trial = X[i] + alpha[i, None] * P[i]
         w, g = objective(trial, i)
         ok = w >= W[i] + _ARMIJO * gain[i]
-        alpha[i[~ok]] *= 0.5
-        i, trial, w, g = i[ok], trial[ok], w[ok], g[ok]
+        if not ok.all():
+            alpha[i[~ok]] *= 0.5
+            i, trial, w, g = i[ok], trial[ok], w[ok], g[ok]
         s, y = trial - X[i], G[i] - g          # y is the change in the gradient of -W
         X[i], W[i], G[i], kept[i] = trial, w, g, kept[i] + 1
-        sy = np.einsum("ri,ri->r", s, y)
-        i, s, y, sy = i[sy > 0.0], s[sy > 0.0], y[sy > 0.0], sy[sy > 0.0]
-        inv_hess[i[fresh[i]]] = eye * (sy / np.einsum("ri,ri->r", y, y))[fresh[i], None, None]
+        sy = (s * y).sum(axis=1)
+        curved = sy > 0.0
+        if not curved.all():
+            i, s, y, sy = i[curved], s[curved], y[curved], sy[curved]
+        scale = np.where(fresh[i], sy / (y * y).sum(axis=1), 1.0)[:, None, None]
         fresh[i] = False
         rs = (s / sy[:, None])[:, :, None]
         V = eye - rs * y[:, None, :]
-        inv_hess[i] = V @ inv_hess[i] @ np.swapaxes(V, 1, 2) + rs * s[:, None, :]
+        inv_hess[i] = V @ (scale * inv_hess[i]) @ V.swapaxes(1, 2) + rs * s[:, None, :]
         alpha[i] = 1.0
 
 
@@ -353,18 +359,23 @@ def _optimize(model: FactorModel, params: list, config: OptimizerConfig) -> list
     independently but scored together: the scans in engine calls of whole
     points, at most ``_SCAN_BUDGET`` rows each where a point fits, one BFGS
     ascent for every point's starts, and one call for every point's
-    stationarity test.  A scored row is (h, vec H, p), scored under the
-    criterion of point p alone; the stencil's shifted rows keep p.
+    stationarity test.  A scored row is (h, vec H, theta, gamma, p), scored
+    under its own criterion (theta, gamma), that of point p; the stencil's
+    shifted rows keep it.
     """
     m, n, d = model.m, model.n, model.m * (1 + model.n)
+    _criteria(model, (), params[0])     # a wrong-length gamma raises before an indefinite SS'
+    _require_definite_diffusion(model)
     outcomes, live = [], []
     for prm in params:
         try:
-            live.append((*_h_terms(model, prm), prm.gamma))
+            theta, dw, r0 = _h_terms(model, prm)
         except UnboundedCriterionError as err:
             outcomes.append(err)
             continue
         outcomes.append(None)
+        # a row per point: the terms of h*, then the criterion and the point
+        live.append(np.concatenate([dw, r0, [theta], prm.gamma, [len(live)]]))
         if prm.theta == 0.0 and not np.any(prm.gamma != 0.0):
             warnings.warn(
                 "theta = 0 and gamma = 0: the criterion reduces to the growth "
@@ -373,67 +384,66 @@ def _optimize(model: FactorModel, params: list, config: OptimizerConfig) -> list
             )
     if not live:
         return outcomes
-    theta, dw, r0, gamma = (np.array(t) for t in zip(*live))    # a row per point
+    terms = np.array(live)
     h_star = _h_solver(model)
     evaluations = np.zeros(len(live), dtype=int)
 
     def score(X, drop=False):
-        """W at each row of X, under the criterion of the row's point.
+        """W at each row of X, under the row's criterion.
 
         A row whose h* or W is not finite raises NumericError; with ``drop``
         (the scan) it scores -inf instead, so it never starts an ascent.
         Rows are scored by :func:`evaluate`, which raises on an overflow for
         the whole stack; only then is a scan slice scored again unchecked.
         """
-        point = X[:, -1].astype(int)
-        evaluations[:] += np.bincount(point, minlength=len(live))
-        finite = np.isfinite(X).all(axis=1)
-        if finite.all():
+        evaluations[:] += np.bincount(X[:, -1].astype(int), minlength=len(live))
+        if np.isfinite(X).all():
             try:
                 return evaluate(model, (X[:, :m], X[:, m:d].reshape(-1, m, n)),
-                                (theta[point], gamma[point]))
+                                (X[:, d], X[:, d + 1:-1]))
             except NumericError:
                 if not drop:
                     raise
         elif not drop:
             raise NumericError("h* overflows at a point of the ascent")
-        rows, point = X[finite], point[finite]    # the scan scores the rows it can, each on its own
+        finite = np.isfinite(X).all(axis=1)
+        rows = X[finite]                # the scan scores the rows it can, each on its own
         with np.errstate(over="ignore", invalid="ignore"):
             mom = _engine(model, rows[:, :m], rows[:, m:d].reshape(-1, m, n), check=False)
-            w = _values(mom, theta[point], gamma[point])
+            w = _values(mom, rows[:, d], rows[:, d + 1:-1])
         out = np.full(len(X), -np.inf)
         out[finite] = np.where(np.isfinite(w), w, -np.inf)
         return out
 
-    def full(Hx, point):
+    def full(Hx, T):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            h = h_star(Hx.reshape(-1, m, n), theta[point], dw[point], r0[point])
-        return np.hstack([h, Hx, point[:, None]])
+            h = h_star(Hx.reshape(-1, m, n), T[:, n + m], T[:, :n], T[:, n:n + m])
+        return np.concatenate([h, Hx, T[:, n + m:]], axis=1)
 
     points = _scan_points(config, m * n)
     step = max(1, _SCAN_BUDGET // len(points))      # whole points per engine call
     values = np.vstack([
-        score(full(np.tile(points, (len(p), 1)), p.repeat(len(points))), drop=True)
+        score(full(np.tile(points, (len(p), 1)), terms[p.repeat(len(points))]), drop=True)
         .reshape(len(p), -1)
         for p in np.split(np.arange(len(live)), np.arange(step, len(live), step))])
     # every point starts from its best finite scan rows
     counts = np.minimum(config.local_restarts, np.isfinite(values).sum(axis=1))
     order = np.argsort(-values, axis=1, kind="stable")
     starts = points[np.concatenate([order[j, :c] for j, c in enumerate(counts)])]
-    start_point = np.arange(len(live)).repeat(counts)
+    start_terms = terms[np.arange(len(live)).repeat(counts)]    # gathered once per ascent
     first = np.concatenate([[0], np.cumsum(counts)])
 
-    def objective(Hx, i):
+    def objective(Hx, i, curvature=False):
         # Envelope theorem: at h = h*(H), dW/dh = 0, so the partial gradient
         # along H is the exact gradient of W*(H) = max_h W(h, H).
-        return _stencil(score, full(Hx, start_point[i]), np.arange(m, d))
+        return _stencil(score, full(Hx, start_terms[i]), np.arange(m, d), curvature)
 
     results = [NumericError("h* or W overflows at every scan point: no finite start")
                if c == 0 else None for c in counts]
     found = np.flatnonzero(counts)
     if found.size:
         Hx, W = _refine(objective, starts, config.max_iterations)
-        X = full(Hx, start_point)
+        X = full(Hx, start_terms)
         chosen, tols = [], []
         for j in found:
             rows = range(first[j], first[j + 1])

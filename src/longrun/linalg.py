@@ -6,7 +6,7 @@ strictly negative real part.  :func:`lyapunov_operator` builds and
 LU-factors the n^2 x n^2 operator of ``S -> B S + S B'`` once per B, and
 :func:`solve_lyapunov_stack` solves a stack of right-hand sides with those
 factors, checking every slice's residual (:func:`residual_failures`).  D
-takes this route; the moment engine's offsets S take :func:`lyapunov_inverse`
+takes this route; the engine's offsets S take the operator's :func:`inverse`
 and the same residual check.  The solves are dense LAPACK calls sized for
 the n <= 8 systems this package works with; they enforce the residual
 contract of the callers rather than chasing large-scale performance.
@@ -118,16 +118,16 @@ def lyapunov_operator(B: np.ndarray):
     return L, scipy.linalg.lapack.dgetrf(L)[:2]
 
 
-def residual_failures(L: np.ndarray, S: np.ndarray, Q: np.ndarray, B_norm: float):
-    """``(bad, residual, scale)`` per slice (n, n) of ``B S + S B' = Q``, given L of B and ``||B||``.
+def residual_failures(LT: np.ndarray, S: np.ndarray, Q: np.ndarray, B_norm: float):
+    """``(bad, residual, scale)`` per slice (n, n) of ``B S + S B' = Q``, given L' and ``||B||``.
 
     A slice is bad unless its residual is finite and at most ``rtol * scale``,
     ``scale = ||B|| ||S|| + ||Q||``, with ``rtol = LYAPUNOV_RTOL`` as it is at
-    call time.  L is the matrix of :func:`lyapunov_operator`.
+    call time.  LT is the transpose of the matrix of :func:`lyapunov_operator`.
     """
-    nn = L.shape[0]
+    nn = LT.shape[0]
     S, Q = S.reshape(-1, nn), Q.reshape(-1, nn)
-    parts = np.concatenate([S, Q, S @ L.T - Q], axis=1).reshape(-1, 3, nn)
+    parts = np.concatenate([S, Q, S @ LT - Q], axis=1).reshape(-1, 3, nn)
     parts *= parts
     S_norm, Q_norm, residual = np.sqrt(parts.sum(axis=-1)).T
     scale = B_norm * S_norm + Q_norm
@@ -135,13 +135,13 @@ def residual_failures(L: np.ndarray, S: np.ndarray, Q: np.ndarray, B_norm: float
     return bad, residual, scale
 
 
-def lyapunov_inverse(operator) -> np.ndarray:
-    """The inverse of the matrix of ``operator`` (:func:`lyapunov_operator`), from its LU factors.
+def inverse(M: np.ndarray) -> np.ndarray:
+    """The inverse of a small nonsingular square matrix, from its LU factors.
 
-    Applying it is a small matrix product; a LAPACK solve with many right-hand sides
+    Applying it is a small matrix product; a LAPACK solve with several right-hand sides
     takes OpenBLAS's threaded path, which in some processes stalls ~8 ms a call.
     """
-    return scipy.linalg.lapack.dgetri(*operator[1])[0]
+    return scipy.linalg.lapack.dgetri(*scipy.linalg.lapack.dgetrf(M)[:2])[0]
 
 
 def solve_lyapunov_stack(B: np.ndarray, operator, Q: np.ndarray) -> np.ndarray:
@@ -157,7 +157,7 @@ def solve_lyapunov_stack(B: np.ndarray, operator, Q: np.ndarray) -> np.ndarray:
     if info != 0:  # pragma: no cover - only for malformed arguments
         raise NumericError(f"Lyapunov solve failed: getrs info {info}")
     S = x.T.reshape(k, n, n)
-    bad, residual, scale = residual_failures(operator[0], S, Q, np.linalg.norm(B))
+    bad, residual, scale = residual_failures(operator[0].T, S, Q, np.linalg.norm(B))
     if bad.any():
         i = np.flatnonzero(bad)[0]
         raise NumericError(

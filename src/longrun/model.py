@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import check_stability, lyapunov_operator, solve_lyapunov_stack
+from .linalg import check_stability, inverse, lyapunov_operator, solve_lyapunov_stack
 
 __all__ = [
     "FactorModel",
@@ -160,8 +160,12 @@ class FactorModel:
         D = solve_lyapunov_stack(B, operator, -(self.Lambda @ self.Lambda.T)[None])[0]
         D = 0.5 * (D + D.T)
         SS = self.Sigma @ self.Sigma.T
-        return PreparedModel(D=_freeze(D), SS=_freeze(SS), form=_freeze(moment_form(self, D, SS, operator)),
-                             lyapunov=_freeze(operator[0]), B_norm=float(np.linalg.norm(B)))
+        B_inv = inverse(B)
+        K = (B_inv @ self.Lambda).T
+        return PreparedModel(D=_freeze(D), SS=_freeze(SS), B_inv=_freeze(B_inv), K=_freeze(K),
+                             G0=_freeze(self.Sigma.T - K @ self.A.T), B_norm=float(np.linalg.norm(B)),
+                             form=_freeze(moment_form(self, D, SS, B_inv, operator[0])),
+                             lyapunov=_freeze(operator[0].T))
 
 
 @dataclass(frozen=True)
@@ -177,17 +181,23 @@ class PreparedModel:
         Stationary factor covariance, solving ``B D + D B' + Lambda Lambda' = 0``.
     SS : ndarray, shape (m, m)
         Return diffusion covariance ``Sigma Sigma'``.
+    B_inv, K, G0 : ndarray, shapes (n, n), (m+n, n) and (m+n, m)
+        B^-1 (:func:`longrun.linalg.inverse`), and ``K = Lambda' B^-T`` and ``G0 = Sigma' - K A'``,
+        the model's terms of the maximizing h (``longrun.criterion._h_solver``).
     form : ndarray, shape ((d+1)(d+2)/2, 2 + m + 2n + 3n^2), d = m + m n
         Every moment of a strategy, and the offset's right-hand side Q, as a
         quadratic form in z = (1, h, vec H) (:func:`longrun.moments.moment_form`).
     lyapunov : ndarray, shape (n^2, n^2)
-        The matrix ``I (x) B + B (x) I`` of the Lyapunov operator
-        (:func:`longrun.linalg.lyapunov_operator`), and ``B_norm``, the
-        Frobenius norm of B: what the offsets' residual check applies.
+        The transpose of the matrix ``I (x) B + B (x) I`` of the Lyapunov
+        operator (:func:`longrun.linalg.lyapunov_operator`), and ``B_norm``,
+        the Frobenius norm of B: what the offsets' residual check applies.
     """
 
     D: np.ndarray
     SS: np.ndarray
+    B_inv: np.ndarray
+    K: np.ndarray
+    G0: np.ndarray
     form: np.ndarray
     lyapunov: np.ndarray
     B_norm: float

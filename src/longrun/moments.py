@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimensionError, NumericError, lyapunov_inverse, residual_failures
+from .linalg import DimensionError, NumericError, inverse, residual_failures
 from .model import FactorModel, ModelValidationError, Strategy
 
 __all__ = [
@@ -111,7 +111,7 @@ def _stack(model: FactorModel, strategy):
         raise DimensionError(f"h must have shape (k, m={m}), got {h.shape}")
     if H.shape != (h.shape[0], m, n):
         raise DimensionError(f"H must have shape (k={h.shape[0]}, m={m}, n={n}), got {H.shape}")
-    if not (np.all(np.isfinite(h)) and np.all(np.isfinite(H))):
+    if not (np.isfinite(h).all() and np.isfinite(H).all()):
         raise ModelValidationError(["strategy contains non-finite entries"])
     return h, H
 
@@ -124,7 +124,16 @@ def _upper_pairs(size: int) -> np.ndarray:
     return pairs
 
 
-def moment_form(model: FactorModel, D: np.ndarray, SS: np.ndarray, operator) -> np.ndarray:
+@functools.cache
+def _mirror(n: int) -> np.ndarray:
+    """Read-only row-major indices that read an n x n upper triangle into both triangles."""
+    index = np.sort(np.indices((n, n)).reshape(2, -1), axis=0).T @ np.array([n, 1])
+    index.flags.writeable = False
+    return index
+
+
+def moment_form(model: FactorModel, D: np.ndarray, SS: np.ndarray, B_inv: np.ndarray,
+                L: np.ndarray) -> np.ndarray:
     """The (Z, 2 + m + 2n + 3n^2) coefficients of the moments as quadratic forms in z = (1, h, vec H).
 
     Row j holds the coefficients of z_p z_q, (p, q) = ``_upper_pairs(d + 1)[:, j]``
@@ -133,15 +142,15 @@ def moment_form(model: FactorModel, D: np.ndarray, SS: np.ndarray, operator) -> 
     B S + S B' = Q, Q = -(D M D) - 2 Lambda Sigma' H D symmetrized (a no-op for
     n = 1; for n > 1 what makes S the genuine, symmetric, constant term of
     E[u x x'], as the Monte Carlo oracle confirms), so S's block is Q's times
-    the inverse operator, from ``operator`` (:func:`~longrun.linalg.lyapunov_operator` of B).
+    the inverse of L, the matrix of :func:`~longrun.linalg.lyapunov_operator`
+    of B, symmetrized.
     """
-    a, A, B, Sg, Lm = model.a, model.A, model.B, model.Sigma, model.Lambda
+    a, A, Sg, Lm = model.a, model.A, model.Sigma, model.Lambda
     m, n = A.shape
     mn, nn, d, o, eye = m * n, n * n, m + m * n, 2 + m + 2 * n, np.eye(n)
     h, H, PY = slice(1, m + 1), slice(m + 1, d + 1), slice(2, o)
     M, Q = slice(o, o + nn), slice(o + nn, o + 2 * nn)
-    Bi = np.linalg.inv(B)
-    W = np.concatenate([D @ Bi.T, Bi @ Lm], axis=1)
+    W = np.concatenate([D @ B_inv.T, B_inv @ Lm], axis=1)
     AD = A @ D
     # C[p, q] holds the coefficient of z_p z_q; only C[p, q] + C[q, p] counts
     C = np.zeros((d + 1, d + 1, o + 3 * nn))
@@ -167,16 +176,18 @@ def moment_form(model: FactorModel, D: np.ndarray, SS: np.ndarray, operator) -> 
     iu, ju = _upper_pairs(d + 1)
     form = C[iu, ju] + C[ju, iu]
     # unchecked here: the engine holds every offset it computes to the residual check
-    form[:, Q.stop:] = form[:, Q] @ lyapunov_inverse(operator).T
+    S = (form[:, Q] @ inverse(L).T).reshape(-1, n, n)
+    form[:, Q.stop:] = (0.5 * (S + S.transpose(0, 2, 1))).reshape(-1, nn)
     return form
 
 
 def _engine(model: FactorModel, h: np.ndarray, H: np.ndarray,
-            check: bool = True) -> AsymptoticMoments:
+            check: bool = True, one: bool = False) -> AsymptoticMoments:
     """All long-run moments of the strategy stack ``h`` (k, m), ``H`` (k, m, n).
 
     Raises NumericError on an overflowed moment; with ``check=False`` the
     rows that overflow come back non-finite instead, the others as they are.
+    With ``one``, the moments of the stack's one row, without its axis.
     """
     pm = model.prepared
     m, n, k = model.m, model.n, len(h)
@@ -192,11 +203,10 @@ def _engine(model: FactorModel, h: np.ndarray, H: np.ndarray,
             zi = z[i:i + step]
             # one vector-matrix product per row, so a row rounds alike in any stack
             out[i:i + step] = ((zi.take(iu, axis=1) * zi.take(ju, axis=1))[:, None] @ pm.form)[:, 0]
-        o = 2 + m + 2 * n
+        o, nn = 2 + m + 2 * n, n * n
         K, P, Y = out[:, 0], out[:, 2:2 + n], out[:, 2 + n:o]
-        MQS = out[:, o:].reshape(k, 3, n, n)
-        M, Q, S = MQS[:, 0], MQS[:, 1], MQS[:, 2]
-        S = 0.5 * (S + S.transpose(0, 2, 1))
+        M, Q = out[:, o:o + nn], out[:, o + nn:o + 2 * nn]        # row-major n x n
+        S = out[:, o + 2 * nn:].take(_mirror(n), axis=1)           # exactly symmetric
         # A row whose S fails its residual check comes back NaN. An overflow, which may
         # first happen inside the check (the norms of S square it), names the row
         # below; a failure that no overflow explains is the form's own.
@@ -205,16 +215,11 @@ def _engine(model: FactorModel, h: np.ndarray, H: np.ndarray,
             if not overflow:
                 raise NumericError("Lyapunov residual of the offset S exceeds its tolerance")
             S[bad] = np.nan
-        rate = (Y * Y).sum(axis=-1) + (S * M).sum(axis=(-2, -1)) + out[:, 1]
-        mom = AsymptoticMoments(
-            growth_rate=K,
-            variance_rate=rate,
-            wealth_factor_cov=P,
-            factor_cov=pm.D,
-            shock_loading=Y,
-            second_moment_offset=S,
-            second_moment_slope=K[:, None, None] * pm.D,
-        )
+        rate = (Y * Y).sum(axis=-1) + (S * M).sum(axis=-1) + out[:, 1]
+        S = S.reshape(k, n, n)
+        if one:
+            K, rate, P, Y, S = float(K[0]), float(rate[0]), P[0], Y[0], S[0]
+        mom = AsymptoticMoments(K, rate, P, pm.D, Y, S, np.multiply.outer(K, pm.D))
     if overflow and check:
         for name, value in vars(mom).items():
             if not np.isfinite(value).all():
@@ -234,12 +239,7 @@ def moments(model: FactorModel, strategy) -> AsymptoticMoments:
     a floating-point warning.  A single Strategy gives, bit for bit, the
     moments of its row in any stack.
     """
-    mom = _engine(model, *_stack(model, strategy))
-    if not isinstance(strategy, Strategy):
-        return mom
-    one = {name: value if name == "factor_cov" else value[0] for name, value in vars(mom).items()}
-    one["growth_rate"], one["variance_rate"] = float(one["growth_rate"]), float(one["variance_rate"])
-    return AsymptoticMoments(**one)
+    return _engine(model, *_stack(model, strategy), one=isinstance(strategy, Strategy))
 
 
 def scalar_moments(model: FactorModel, strategy: Strategy) -> AsymptoticMoments:

@@ -109,7 +109,7 @@ def test_prepared_model_is_read_only_and_cached():
     model = random_stable_model(np.random.default_rng(3), 2, 2)
     pm = model.prepared
     assert model.prepared is pm
-    for arr in (pm.D, pm.SS, pm.form, pm.lyapunov):
+    for arr in (pm.D, pm.SS, pm.B_inv, pm.K, pm.G0, pm.form, pm.lyapunov):
         assert not arr.flags.writeable
     with pytest.raises(ValueError):
         pm.D[0, 0] = 1.0
@@ -212,7 +212,7 @@ def _scorer(model, prm):
 
 def test_stencil_gradient_is_exact(monkeypatch):
     # W is quartic in (h, H), so the 5-point stencil has no truncation error:
-    # a tenfold step gives the same gradient up to rounding.
+    # a tenfold step gives the same gradient and second differences up to rounding.
     rng = np.random.default_rng(31)
     models = [random_stable_model(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
               for _ in range(12)]
@@ -223,14 +223,16 @@ def test_stencil_gradient_is_exact(monkeypatch):
         score = _scorer(model, prm)
         x = rng.uniform(-2.0, 2.0, model.m * (1 + model.n))
         coords = np.arange(x.size)
-        grads = []
+        grads, curvatures = [], []
         for step in (0.1, 1.0):
             monkeypatch.setattr(criterion, "_STENCIL_STEP", step)
-            w, g = criterion._stencil(lambda X: calls.append(len(X)) or score(X), x, coords)
+            w, g, c = criterion._stencil(lambda X: calls.append(len(X)) or score(X), x, coords, True)
             assert_allclose(w, score(x[None])[0], rtol=RTOL)
             grads.append(g)
+            curvatures.append(c)
         assert calls == [1 + 4 * x.size] * 2
         assert np.linalg.norm(grads[1] - grads[0]) <= 1e-9 * np.linalg.norm(grads[0])
+        assert np.linalg.norm(curvatures[1] - curvatures[0]) <= 1e-9 * np.linalg.norm(curvatures[0])
 
 
 @pytest.mark.parametrize("theta", [0.5, 4.0])

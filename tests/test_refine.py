@@ -79,12 +79,28 @@ def test_engine_calls_per_optimize(monkeypatch):
     original = criterion.evaluate
     monkeypatch.setattr(criterion, "evaluate", lambda *args: calls.append(1) or original(*args))
     optimize(reference_model(), CriterionParams(theta=1.0, gamma=np.zeros(1)))
-    assert len(calls) <= 10
+    assert len(calls) <= 8
     calls.clear()
     model = random_stable_model(np.random.default_rng(0), 3, 2)
     optimize(model, CriterionParams(theta=1.0, gamma=np.zeros(2)),
              OptimizerConfig(local_restarts=2, max_iterations=500))
-    assert len(calls) <= 30
+    assert len(calls) <= 20
+
+
+def test_a_start_concave_on_every_axis_keeps_its_first_step():
+    # the stencil's second differences of a concave quadratic are exact up to
+    # rounding, so each start's first trial is the Newton step onto the maximum
+    curvature = np.array([4.0, 0.25])
+    trials = []
+
+    def objective(X, i, second=False):
+        trials.append(X.copy())
+        return criterion._stencil(lambda Y: -0.5 * (Y * Y) @ curvature, X, np.arange(2), second)
+
+    X, W = criterion._refine(objective, np.array([[1.0, -2.0], [-3.0, 0.5]]), 100)
+    # kept: a halved first step would put a later trial half way, not at the maximum
+    assert len(trials) >= 2 and np.abs(np.concatenate(trials[1:])).max() <= 1e-8
+    assert np.abs(X).max() <= 1e-8 and np.all(W >= -1e-15)
 
 
 @pytest.mark.parametrize("case", ["reference", "2x2", "3x2"])
@@ -191,10 +207,13 @@ def test_engine_calls_per_sweep(monkeypatch):
     monkeypatch.setattr(criterion, "evaluate", lambda *args: calls.append(1) or original(*args))
     model = _calibrated()
     sweep_theta(model, THETA_GRID)
-    assert len(calls) <= 15
+    assert len(calls) <= 8
     calls.clear()
     sweep_gamma(model, 1.0, GAMMA_GRID)
-    assert len(calls) <= 12
+    assert len(calls) <= 8
+    calls.clear()
+    sweep_theta(model, [16.0, 64.0])        # where a gradient first step overshoots
+    assert len(calls) <= 8
 
 
 def test_sweep_scan_calls_stay_within_the_scan_budget(monkeypatch):
