@@ -444,23 +444,20 @@ def _optimize(model: FactorModel, params: list, config: OptimizerConfig) -> list
     if found.size:
         Hx, W = _refine(objective, starts, config.max_iterations)
         X = full(Hx, start_terms)
-        chosen, tols = [], []
+        chosen = []
         for j in found:
             rows = range(first[j], first[j + 1])
             best_w = float(W[rows].max())
-            tols.append(config.simplex_tolerance * (1.0 + abs(best_w)))
-            tied = [k for k in rows if W[k] >= best_w - tols[-1]]
+            tied = [k for k in rows if W[k] >= best_w - config.simplex_tolerance * (1.0 + abs(best_w))]
             chosen.append(min(tied, key=lambda k: (np.linalg.norm(X[k, :d]), tuple(X[k, :d]))))
         grads = _stencil(score, X[chosen], np.arange(d))[1]
-        for j, k, g, tol in zip(found, chosen, grads, tols):
+        for j, k, g in zip(found, chosen, grads):
             x_star, w_star = X[k, :d], float(W[k])
             g_norm = float(np.linalg.norm(g))
             stationary = g_norm <= _STATIONARITY_NORM * (1.0 + abs(w_star))
             message = "converged" if stationary else (
                 f"gradient norm {g_norm:.3e} exceeds the stationarity tolerance"
             )
-            if values[j].max() - w_star > tol:
-                message += "; a scan point beat the refined optimum"
             results[j] = OptimizationResult(
                 strategy=Strategy(h=x_star[:m], H=x_star[m:].reshape(m, n)),
                 value=w_star,

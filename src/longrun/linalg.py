@@ -2,14 +2,14 @@
 
 Everything here operates on the factor feedback matrix of a linear factor
 model, which must be a stability (Hurwitz) matrix: every eigenvalue has a
-strictly negative real part.  :func:`lyapunov_operator` builds and
-LU-factors the n^2 x n^2 operator of ``S -> B S + S B'`` once per B, and
-:func:`solve_lyapunov_stack` solves a stack of right-hand sides with those
-factors, checking every slice's residual (:func:`residual_failures`).  D
-takes this route; the engine's offsets S take the operator's :func:`inverse`
-and the same residual check.  The solves are dense LAPACK calls sized for
-the n <= 8 systems this package works with; they enforce the residual
-contract of the callers rather than chasing large-scale performance.
+strictly negative real part.  :func:`lyapunov_operator` builds the n^2 x n^2
+matrix L of ``S -> B S + S B'``, and a model inverts it once
+(:func:`inverse`): D and the coefficients of every offset S are right-hand
+sides times L^-T.  :func:`refined_failures` holds a stack of such solutions
+to one residual check (:func:`residual_failures`), after one refinement step
+on the slices that fail it.  The products are dense and sized for the n <= 8
+systems this package works with; they enforce the residual contract of the
+callers rather than chasing large-scale performance.
 """
 
 from __future__ import annotations
@@ -105,24 +105,23 @@ def check_stability(B) -> StabilityReport:
     )
 
 
-def lyapunov_operator(B: np.ndarray):
-    """``(L, lu)``: the n^2 x n^2 matrix ``L = I (x) B + B (x) I`` of ``S -> B S + S B'``, and its LU factors.
+def lyapunov_operator(B: np.ndarray) -> np.ndarray:
+    """The n^2 x n^2 matrix ``L = I (x) B + B (x) I`` of ``S -> B S + S B'``.
 
     Row-major ``vec`` maps ``B S`` to ``(B (x) I) vec(S)`` and ``S B'`` to
     ``(I (x) B) vec(S)``.  L is nonsingular when B is stable (its
-    eigenvalues are the pairwise sums of B's).
+    eigenvalues are the pairwise sums of B's): ``vec(S) = vec(Q) L^-T``.
     """
     n = B.shape[0]
     eye = np.eye(n)
-    L = (B[:, None, :, None] * eye[:, None, :] + eye[:, None, :, None] * B[:, None, :]).reshape(n * n, n * n)
-    return L, scipy.linalg.lapack.dgetrf(L)[:2]
+    return (B[:, None, :, None] * eye[:, None, :] + eye[:, None, :, None] * B[:, None, :]).reshape(n * n, n * n)
 
 
 def residual_failures(LT: np.ndarray, S: np.ndarray, Q: np.ndarray, B_norm: float):
-    """``(bad, residual, scale)`` per slice (n, n) of ``B S + S B' = Q``, given L' and ``||B||``.
+    """``(bad, residual, bound)`` per slice (n, n) of ``B S + S B' = Q``, given L' and ``||B||``.
 
-    A slice is bad unless its residual is finite and at most ``rtol * scale``,
-    ``scale = ||B|| ||S|| + ||Q||``, with ``rtol = LYAPUNOV_RTOL`` as it is at
+    A slice is bad unless its residual is finite and at most its bound,
+    ``rtol * (||B|| ||S|| + ||Q||)`` with ``rtol = LYAPUNOV_RTOL`` as it is at
     call time.  LT is the transpose of the matrix of :func:`lyapunov_operator`.
     """
     nn = LT.shape[0]
@@ -130,9 +129,24 @@ def residual_failures(LT: np.ndarray, S: np.ndarray, Q: np.ndarray, B_norm: floa
     parts = np.concatenate([S, Q, S @ LT - Q], axis=1).reshape(-1, 3, nn)
     parts *= parts
     S_norm, Q_norm, residual = np.sqrt(parts.sum(axis=-1)).T
-    scale = B_norm * S_norm + Q_norm
-    bad = ~(np.isfinite(residual) & (residual <= LYAPUNOV_RTOL * np.maximum(scale, 1e-300)))
-    return bad, residual, scale
+    bound = LYAPUNOV_RTOL * np.maximum(B_norm * S_norm + Q_norm, 1e-300)
+    return ~(np.isfinite(residual) & (residual <= bound)), residual, bound
+
+
+def refined_failures(LT: np.ndarray, LT_inv: np.ndarray, S: np.ndarray, Q: np.ndarray, B_norm: float):
+    """:func:`residual_failures` of a stack S (k, n, n) of solutions for symmetric Q, refined once.
+
+    A slice that fails gets ``S -= sym((S L' - Q) L^-T)`` in place and is checked again; one
+    that passes is not touched.  The step recovers a solution summed from terms that cancel.
+    """
+    bad, residual, bound = residual_failures(LT, S, Q, B_norm)
+    rows = np.flatnonzero(bad)
+    if rows.size:
+        Sr, Qr = S[rows], Q[rows]
+        step = ((Sr.reshape(rows.size, -1) @ LT - Qr.reshape(rows.size, -1)) @ LT_inv).reshape(Sr.shape)
+        S[rows] = Sr = Sr - 0.5 * (step + step.transpose(0, 2, 1))
+        bad[rows], residual[rows], bound[rows] = residual_failures(LT, Sr, Qr, B_norm)
+    return bad, residual, bound
 
 
 def inverse(M: np.ndarray) -> np.ndarray:
@@ -142,28 +156,6 @@ def inverse(M: np.ndarray) -> np.ndarray:
     takes OpenBLAS's threaded path, which in some processes stalls ~8 ms a call.
     """
     return scipy.linalg.lapack.dgetri(*scipy.linalg.lapack.dgetrf(M)[:2])[0]
-
-
-def solve_lyapunov_stack(B: np.ndarray, operator, Q: np.ndarray) -> np.ndarray:
-    """Solve ``B S_i + S_i B' = Q_i`` for a stack Q of shape (k, n, n) in one solve.
-
-    ``operator`` is :func:`lyapunov_operator` of ``B``, which the caller has
-    checked to be stable (a :class:`~longrun.model.FactorModel` is).  Raises
-    :class:`NumericError` if a slice fails :func:`residual_failures`.  The
-    result is not symmetrized.
-    """
-    k, n = Q.shape[0], B.shape[0]
-    x, info = scipy.linalg.lapack.dgetrs(*operator[1], Q.reshape(k, n * n).T)
-    if info != 0:  # pragma: no cover - only for malformed arguments
-        raise NumericError(f"Lyapunov solve failed: getrs info {info}")
-    S = x.T.reshape(k, n, n)
-    bad, residual, scale = residual_failures(operator[0].T, S, Q, np.linalg.norm(B))
-    if bad.any():
-        i = np.flatnonzero(bad)[0]
-        raise NumericError(
-            f"Lyapunov residual {residual[i]:.3e} exceeds {LYAPUNOV_RTOL:.1e} * {scale[i]:.3e}"
-        )
-    return S
 
 
 def psd_sqrt(M) -> np.ndarray:

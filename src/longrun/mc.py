@@ -221,7 +221,8 @@ def _transition(model: FactorModel, dt: float, scheme: str) -> _Transition:
         return _Transition(eye + B * dt, Lm.T.copy(), None, psd_sqrt(dlt))
     phi = scipy.linalg.expm(B * dt)
     step_cov = dlt - phi @ dlt @ phi.T
-    # cov(nu, dW) with Var(dW) = dt I
+    # cov(nu, dW) with Var(dW) = dt I.  A solve, not prepared.B_inv @, which rounds a -0.0
+    # entry to +0.0: _shock_map's QR would then flip the sign of F, and every draw with it.
     M = np.linalg.solve(B, (phi - eye) @ Lm)
     resid = step_cov - (M @ M.T) / dt
     return _Transition(phi, (M / dt).T.copy(), psd_sqrt(resid).T.copy(), psd_sqrt(dlt))
@@ -490,8 +491,9 @@ def _wls_lines(t: np.ndarray, y: np.ndarray, se: np.ndarray):
     det = A[:, 0, 0] * A[:, 1, 1] - A[:, 0, 1] * A[:, 1, 0]
     if not np.all(np.isfinite(det) & (det > 1e-12 * A[:, 0, 0] * A[:, 1, 1])):
         raise NumericError("degenerate horizon grid: cannot separate slope from intercept")
-    coef = np.linalg.solve(A, b[..., None])[..., 0]
-    cov = np.linalg.inv(A)
+    adjugate = np.stack([A[:, 1, 1], -A[:, 0, 1], -A[:, 1, 0], A[:, 0, 0]], axis=-1)
+    cov = adjugate.reshape(-1, 2, 2) / det[:, None, None]      # A^-1, from the det tested above
+    coef = (cov @ b[..., None])[..., 0]
     return coef[:, 0], coef[:, 1], np.sqrt(cov[:, 0, 0]), np.sqrt(cov[:, 1, 1])
 
 

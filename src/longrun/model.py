@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import check_stability, inverse, lyapunov_operator, solve_lyapunov_stack
+from .linalg import NumericError, check_stability, inverse, lyapunov_operator, refined_failures
 
 __all__ = [
     "FactorModel",
@@ -155,17 +155,22 @@ class FactorModel:
     def prepared(self) -> PreparedModel:
         """The strategy-independent terms, built on first use and kept on this model."""
         from .moments import moment_form      # the engine owns its form's layout
-        B = self.B
-        operator = lyapunov_operator(B)
-        D = solve_lyapunov_stack(B, operator, -(self.Lambda @ self.Lambda.T)[None])[0]
+        B, n = self.B, self.n
+        L = lyapunov_operator(B)
+        LT, LT_inv, B_norm = L.T, inverse(L).T, float(np.linalg.norm(B))
+        C = -(self.Lambda @ self.Lambda.T)
+        D = (C.reshape(1, -1) @ LT_inv).reshape(n, n)
         D = 0.5 * (D + D.T)
+        bad, residual, bound = refined_failures(LT, LT_inv, D[None], C[None], B_norm)
+        if bad[0]:
+            raise NumericError(f"Lyapunov residual {residual[0]:.3e} exceeds its bound {bound[0]:.3e}")
         SS = self.Sigma @ self.Sigma.T
         B_inv = inverse(B)
         K = (B_inv @ self.Lambda).T
         return PreparedModel(D=_freeze(D), SS=_freeze(SS), B_inv=_freeze(B_inv), K=_freeze(K),
-                             G0=_freeze(self.Sigma.T - K @ self.A.T), B_norm=float(np.linalg.norm(B)),
-                             form=_freeze(moment_form(self, D, SS, B_inv, operator[0])),
-                             lyapunov=_freeze(operator[0].T))
+                             G0=_freeze(self.Sigma.T - K @ self.A.T), B_norm=B_norm,
+                             form=_freeze(moment_form(self, D, SS, B_inv, LT_inv)),
+                             lyapunov=_freeze(LT), lyapunov_inv=_freeze(LT_inv))
 
 
 @dataclass(frozen=True)
@@ -187,10 +192,11 @@ class PreparedModel:
     form : ndarray, shape ((d+1)(d+2)/2, 2 + m + 2n + 3n^2), d = m + m n
         Every moment of a strategy, and the offset's right-hand side Q, as a
         quadratic form in z = (1, h, vec H) (:func:`longrun.moments.moment_form`).
-    lyapunov : ndarray, shape (n^2, n^2)
-        The transpose of the matrix ``I (x) B + B (x) I`` of the Lyapunov
-        operator (:func:`longrun.linalg.lyapunov_operator`), and ``B_norm``,
-        the Frobenius norm of B: what the offsets' residual check applies.
+    lyapunov, lyapunov_inv : ndarray, shape (n^2, n^2)
+        L' and L^-T, L the matrix of the Lyapunov operator (:func:`longrun.linalg.lyapunov_operator`),
+        inverted once: D is ``vec(-Lambda Lambda') L^-T`` and S's coefficients in ``form`` are Q's
+        times L^-T.  With ``B_norm``, the Frobenius norm of B, they are what the residual check and
+        its refinement step (:func:`longrun.linalg.refined_failures`) apply to D and every S.
     """
 
     D: np.ndarray
@@ -200,6 +206,7 @@ class PreparedModel:
     G0: np.ndarray
     form: np.ndarray
     lyapunov: np.ndarray
+    lyapunov_inv: np.ndarray
     B_norm: float
 
 

@@ -15,13 +15,13 @@ covariance D.  Two independent code paths compute them:
 * :func:`moments`: the matrix engine, valid for any (m, n).  With
   z = (1, h, vec H), every moment of a strategy, the offset S included, is a
   quadratic form in z whose coefficients (:func:`moment_form`) depend only
-  on the model: they are built once, S's as Q's times the inverse of the
-  factored Lyapunov operator, and kept on the model with D
+  on the model: they are built once, S's as Q's times the one inverse of
+  the Lyapunov operator that also gives D, and kept on the model with D
   (``FactorModel.prepared``).  A stack of k strategies, ``h`` of shape
   (k, m) and ``H`` of shape (k, m, n), then costs k vector-matrix products
-  of z z' with them, and every S passes the residual check of
-  :func:`~longrun.linalg.residual_failures` against its own right-hand
-  side.  Every moment is a field of the result.
+  of z z' with them, and every S passes the residual check against its own
+  right-hand side, after one refinement step if it fails the first
+  (:func:`~longrun.linalg.refined_failures`).  Every moment is a field.
 * :func:`scalar_moments`: explicit scalar algebra for the one-asset,
   one-factor case with the diffusion convention Sigma = (sig, eta),
   Lambda = (0, lam).  It shares no linear-algebra code with the matrix
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimensionError, NumericError, inverse, residual_failures
+from .linalg import DimensionError, NumericError, refined_failures
 from .model import FactorModel, ModelValidationError, Strategy
 
 __all__ = [
@@ -133,7 +133,7 @@ def _mirror(n: int) -> np.ndarray:
 
 
 def moment_form(model: FactorModel, D: np.ndarray, SS: np.ndarray, B_inv: np.ndarray,
-                L: np.ndarray) -> np.ndarray:
+                LT_inv: np.ndarray) -> np.ndarray:
     """The (Z, 2 + m + 2n + 3n^2) coefficients of the moments as quadratic forms in z = (1, h, vec H).
 
     Row j holds the coefficients of z_p z_q, (p, q) = ``_upper_pairs(d + 1)[:, j]``
@@ -142,8 +142,8 @@ def moment_form(model: FactorModel, D: np.ndarray, SS: np.ndarray, B_inv: np.nda
     B S + S B' = Q, Q = -(D M D) - 2 Lambda Sigma' H D symmetrized (a no-op for
     n = 1; for n > 1 what makes S the genuine, symmetric, constant term of
     E[u x x'], as the Monte Carlo oracle confirms), so S's block is Q's times
-    the inverse of L, the matrix of :func:`~longrun.linalg.lyapunov_operator`
-    of B, symmetrized.
+    LT_inv, the transposed inverse of the matrix of
+    :func:`~longrun.linalg.lyapunov_operator` of B, symmetrized.
     """
     a, A, Sg, Lm = model.a, model.A, model.Sigma, model.Lambda
     m, n = A.shape
@@ -176,7 +176,7 @@ def moment_form(model: FactorModel, D: np.ndarray, SS: np.ndarray, B_inv: np.nda
     iu, ju = _upper_pairs(d + 1)
     form = C[iu, ju] + C[ju, iu]
     # unchecked here: the engine holds every offset it computes to the residual check
-    S = (form[:, Q] @ inverse(L).T).reshape(-1, n, n)
+    S = (form[:, Q] @ LT_inv).reshape(-1, n, n)
     form[:, Q.stop:] = (0.5 * (S + S.transpose(0, 2, 1))).reshape(-1, nn)
     return form
 
@@ -206,17 +206,16 @@ def _engine(model: FactorModel, h: np.ndarray, H: np.ndarray,
         o, nn = 2 + m + 2 * n, n * n
         K, P, Y = out[:, 0], out[:, 2:2 + n], out[:, 2 + n:o]
         M, Q = out[:, o:o + nn], out[:, o + nn:o + 2 * nn]        # row-major n x n
-        S = out[:, o + 2 * nn:].take(_mirror(n), axis=1)           # exactly symmetric
-        # A row whose S fails its residual check comes back NaN. An overflow, which may
-        # first happen inside the check (the norms of S square it), names the row
-        # below; a failure that no overflow explains is the form's own.
-        bad = residual_failures(pm.lyapunov, S, Q, pm.B_norm)[0]
+        S = out[:, o + 2 * nn:].take(_mirror(n), axis=1).reshape(k, n, n)   # exactly symmetric
+        # A row whose S still fails its residual check after the refinement step comes
+        # back NaN if an overflow, which may first happen inside the check (the norms of
+        # S square it), names the row below; a failure that no overflow explains is the form's.
+        bad = refined_failures(pm.lyapunov, pm.lyapunov_inv, S, Q.reshape(k, n, n), pm.B_norm)[0]
         if bad.any():
             if not overflow:
                 raise NumericError("Lyapunov residual of the offset S exceeds its tolerance")
             S[bad] = np.nan
-        rate = (Y * Y).sum(axis=-1) + (S * M).sum(axis=-1) + out[:, 1]
-        S = S.reshape(k, n, n)
+        rate = (Y * Y).sum(axis=-1) + (S.reshape(k, nn) * M).sum(axis=-1) + out[:, 1]
         if one:
             K, rate, P, Y, S = float(K[0]), float(rate[0]), P[0], Y[0], S[0]
         mom = AsymptoticMoments(K, rate, P, pm.D, Y, S, np.multiply.outer(K, pm.D))

@@ -190,6 +190,43 @@ def test_malformed_input_exit_2(tmp_path, capsys, name):
     assert capsys.readouterr().err.startswith("longrun: input error:")
 
 
+_MUTATION_BYTES = b'0123456789.-+eE,:;[]{}"\n '
+
+
+def _mutations(data: bytes, rng, count: int):
+    """``count`` seeded corruptions of ``data``, each 1-3 byte edits: replace, insert, delete, repeat."""
+    for _ in range(count):
+        b = bytearray(data)
+        for _ in range(int(rng.integers(1, 4))):
+            i, op = int(rng.integers(len(b))), int(rng.integers(4))
+            byte = _MUTATION_BYTES[int(rng.integers(len(_MUTATION_BYTES)))]
+            if op == 0:
+                b[i] = byte
+            elif op == 1:
+                b.insert(i, byte)
+            elif op == 2:
+                del b[i]
+            else:
+                b[i:i] = b[i:i + int(rng.integers(1, 16))]
+        yield bytes(b)
+
+
+def test_random_corruptions_exit_0_or_2(model_file, tmp_path):
+    # A corrupted model or CSV is either still valid input or an input error:
+    # no traceback, no numeric failure.
+    assert main(["simulate", "--model", model_file, "--discrete", "48", "--seed", "3",
+                 "--out", str(tmp_path / "sim")]) == 0
+    rng = np.random.default_rng(9)
+    path = tmp_path / "input"
+    for verb, data in (("moments", Path(model_file).read_bytes()),
+                       ("calibrate", (tmp_path / "sim" / "series.csv").read_bytes())):
+        for bad in _mutations(data, rng, 200):
+            path.write_bytes(bad)
+            argv = (["moments", "--model", str(path)] if verb == "moments"
+                    else ["calibrate", str(path), "--out", str(tmp_path / "o")])
+            assert main(argv) in (0, 2), (verb, bad)
+
+
 def test_sweep_H_csv(model_file, tmp_path):
     out = tmp_path / "sw"
     rc = main(["sweep", "--model", model_file, "--mode", "H", "--h", "1",

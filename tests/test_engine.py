@@ -28,6 +28,7 @@ from longrun import (
     optimize,
     reference_model,
     stationary_covariance,
+    validate_model,
 )
 from longrun.criterion import _h_terms
 
@@ -109,7 +110,7 @@ def test_prepared_model_is_read_only_and_cached():
     model = random_stable_model(np.random.default_rng(3), 2, 2)
     pm = model.prepared
     assert model.prepared is pm
-    for arr in (pm.D, pm.SS, pm.B_inv, pm.K, pm.G0, pm.form, pm.lyapunov):
+    for arr in (pm.D, pm.SS, pm.B_inv, pm.K, pm.G0, pm.form, pm.lyapunov, pm.lyapunov_inv):
         assert not arr.flags.writeable
     with pytest.raises(ValueError):
         pm.D[0, 0] = 1.0
@@ -246,3 +247,18 @@ def test_optimum_has_no_h_gradient(theta):
         _, g = criterion._stencil(_scorer(model, prm), x, np.arange(model.m))
         assert res.stationary, res.message
         assert np.linalg.norm(g) <= criterion._STATIONARITY_NORM * (1.0 + abs(res.value))
+
+
+def test_near_undamped_model_offsets_pass_their_check():
+    # B has eigenvalues -1e-10 +- i, so L is ill-conditioned and an offset summed
+    # from the form's columns cancels: rows of this box fail the residual check
+    # at first, and pass after the one refinement step.
+    model = validate_model(a=[0.01], A=[[0.01, 0.0]], B=[[-1e-10, 1.0], [-1.0, -1e-10]],
+                           Sigma=[[0.05, 0.0, 0.0]], Lambda=[[0.0, 0.5, 0.0], [0.0, 0.0, 0.5]])
+    grid = np.linspace(-3.0, 3.0, 61)
+    H = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1).reshape(-1, 1, 2)
+    mom = moments(model, (np.ones((len(H), 1)), H))
+    S = mom.second_moment_offset
+    assert np.isfinite(S).all() and np.array_equal(S, S.transpose(0, 2, 1))
+    res = optimize(model, CriterionParams(theta=1.0, gamma=[0.0, 0.0]))
+    assert_allclose(res.value, 0.0132890366448, rtol=1e-10)

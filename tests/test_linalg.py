@@ -3,21 +3,28 @@ import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
 
+import longrun.linalg as linalg
 from conftest import random_stable_model
 from longrun import FactorModel, ModelValidationError, stationary_covariance
 from longrun.linalg import (
     DimensionError,
     NumericError,
     check_stability,
+    inverse,
     lyapunov_operator,
     psd_sqrt,
-    solve_lyapunov_stack,
+    refined_failures,
 )
 
 
 def solve_one(B: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """``B S + S B' = Q`` on the route D takes: the factored operator."""
-    return solve_lyapunov_stack(B, lyapunov_operator(B), Q[None])[0]
+    """``B S + S B' = Q`` on the route D takes: vec(Q) times the operator's inverse, checked."""
+    L = lyapunov_operator(B)
+    LT, LT_inv = L.T, inverse(L).T
+    S = (Q.reshape(1, -1) @ LT_inv).reshape(Q.shape)
+    bad, residual, bound = refined_failures(LT, LT_inv, S[None], Q[None], np.linalg.norm(B))
+    assert not bad[0], f"residual {residual[0]:.3e} exceeds {bound[0]:.3e}"
+    return S
 
 
 def kron_lyapunov(B: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -25,7 +32,7 @@ def kron_lyapunov(B: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
     Column-major vec turns the equation into
     (I kron B + B kron I) vec(S) = vec(Q), solved densely here; the library
-    factors the row-major form once per B.  scipy's Bartels-Stewart solver
+    inverts the row-major form once per B.  scipy's Bartels-Stewart solver
     is the independent reference (test_matches_scipy_on_scalar).
     """
     n = B.shape[0]
@@ -90,6 +97,30 @@ def test_asymmetric_rhs_not_symmetrized():
     S = solve_one(B, Q)
     assert not np.allclose(S, S.T)
     assert_allclose(B @ S + S @ B.T, Q, atol=1e-12)
+
+
+def test_refinement_touches_only_the_failed_slices():
+    rng = np.random.default_rng(12)
+    B = random_stable_model(rng, 1, 3).B
+    R = rng.normal(size=(2, 3, 3))
+    Q = R + R.transpose(0, 2, 1)
+    S = np.stack([solve_one(B, q) for q in Q])
+    S = 0.5 * (S + S.transpose(0, 2, 1))       # as D is: the step keeps it symmetric
+    exact = S.copy()
+    S[1] += 1e-6 * Q[1]                        # far outside the tolerance
+    L = lyapunov_operator(B)
+    bad = refined_failures(L.T, inverse(L).T, S, Q, np.linalg.norm(B))[0]
+    assert not bad.any()
+    assert np.array_equal(S[0], exact[0])
+    assert_allclose(S[1], exact[1], rtol=1e-12, atol=1e-14 * np.abs(exact[1]).max())
+    assert np.array_equal(S[1], S[1].T)
+
+
+def test_stationary_covariance_held_to_its_residual(monkeypatch):
+    model = random_stable_model(np.random.default_rng(13), 3, 3)
+    monkeypatch.setattr(linalg, "LYAPUNOV_RTOL", 0.0)
+    with pytest.raises(NumericError, match="Lyapunov residual .* exceeds its bound"):
+        model.prepared
 
 
 def test_stability_report_fields():

@@ -9,6 +9,7 @@ where W is quadratic in (h, H), the exact optimum certifies it.
 import numpy as np
 import pytest
 
+import longrun.criterion as criterion
 from conftest import random_stable_model
 from longrun import (
     CriterionParams,
@@ -17,6 +18,7 @@ from longrun import (
     UnboundedCriterionError,
     evaluate,
     optimize,
+    reference_model,
     stationary_covariance,
 )
 
@@ -91,3 +93,23 @@ def test_theta_zero_optimum_is_the_newton_point(seed):
     newton = evaluate(model, Strategy(h=x[:m], H=x[m:].reshape(m, n)), params)
     res = optimize(model, params, QUICK)
     assert abs(res.value - newton) <= 1e-10 * (1.0 + abs(newton))
+
+
+@pytest.mark.parametrize("seed", [None, *range(5)])
+def test_optimum_is_no_worse_than_its_best_scan_row(seed, monkeypatch):
+    # Each ascent starts from a best scan row, scored alike, and keeps only the
+    # steps that raise W: no scan row can beat the optimum beyond the tie tolerance.
+    if seed is None:
+        model, config = reference_model(), OptimizerConfig()
+        params = CriterionParams(theta=1.0, gamma=[0.0])
+    else:
+        rng = np.random.default_rng(3000 + seed)
+        model, config = random_stable_model(rng, *(SHAPES + LHS_SHAPES)[2 * seed]), QUICK
+        params = CriterionParams(theta=float(rng.uniform(0.5, 4.0)), gamma=rng.normal(scale=0.3, size=model.n))
+    calls = []
+    original = criterion.evaluate
+    monkeypatch.setattr(criterion, "evaluate", lambda *args: calls.append(original(*args)) or calls[-1])
+    res = optimize(model, params, config)
+    scan = calls[0]                            # the whole scan, in the first engine call
+    assert len(scan) == len(criterion._scan_points(config, model.m * model.n))
+    assert res.value >= scan.max() - config.simplex_tolerance * (1.0 + abs(res.value))
