@@ -27,6 +27,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -233,9 +234,18 @@ def _criterion(theta, gamma, flags: str) -> CriterionParams:
         raise UsageError(f"{flags}: {err}") from None
 
 
+def _threads(args) -> int:
+    """``--threads``, by default every core this process may run on (no result depends on it)."""
+    if args.threads is not None:
+        return args.threads
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _sim_config(args, **options) -> SimConfig:
     """The Monte Carlo flags as a SimConfig, any value it rejects as a usage error."""
-    if args.threads < 1:
+    if _threads(args) < 1:
         raise UsageError(f"--threads must be at least 1, got {args.threads}")
     try:
         cfg = SimConfig(dt=args.dt, horizon=args.horizon, paths=args.paths, seed=args.seed,
@@ -260,7 +270,7 @@ def cmd_moments(args) -> int:
 
     if args.check:
         cfg = _sim_config(args)
-        stats = simulate(model, strategy, cfg, threads=args.threads)
+        stats = simulate(model, strategy, cfg, threads=_threads(args))
         T = stats.horizon
         checks = {
             "growth_rate": (mom.growth_rate, stats.mean_u / T, stats.mean_u_se / T,
@@ -379,7 +389,7 @@ def cmd_simulate(args) -> int:
     strategy = _strategy_from_flags(model, args)
     cfg = _sim_config(args, factor_scheme=args.scheme, antithetic=args.antithetic,
                       stationary_start=not args.zero_start)
-    stats = simulate(model, strategy, cfg, threads=args.threads)
+    stats = simulate(model, strategy, cfg, threads=_threads(args))
     doc = {
         "config": _record(cfg),
         "effective_horizon": stats.horizon,
@@ -436,7 +446,9 @@ def _add_common(sub, oracle=False):
         sub.add_argument("--horizon", type=float, default=10000.0,
                          help="Monte Carlo horizon in months (default 1e4)")
         sub.add_argument("--paths", type=int, default=10000, help="Monte Carlo paths (default 1e4)")
-        sub.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
+        sub.add_argument("--threads", type=int,
+                         help="worker threads (default: the usable cores); results are "
+                              "bit-identical at any count")
 
 
 @functools.cache

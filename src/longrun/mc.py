@@ -4,45 +4,55 @@ The simulator integrates the log-wealth increment directly,
 
     du = (h + Hx)'((a + Ax) dt + Sigma dW) - (h + Hx)'SS'(h + Hx)/2 dt,
 
-with an Euler step (left endpoint).  In x the step is c0 + c1'x + x'C2x +
-dW'Sigma'(h + Hx), with c0 = (h'a - h'SS'h/2) dt, c1 = (A'h + H'a - H'SS'h) dt
-and C2 = sym(H'A - H'SS'H/2) dt computed once per simulation.  The factor
-path and the increment run step-major, shaped (steps, paths, .).  Both
-factor schemes run one recursion for every n, x_j = phi x_{j-1} + nu_j, one
-matrix product per step.  The default is exact: phi = e^{B dt}, and nu, of
-covariance ``Delta - phi Delta phi'``, is drawn jointly with the Brownian
-increment through the exact conditional law (cov(nu, dW) = B^{-1}(phi - I)
-Lambda).  With a stationary start this makes the sample mean of u(T) an
-unbiased estimate of growth_rate * T at any step size; variances and
-covariances carry only O(dt) discretization error.  The Euler scheme, for
-convergence studies, is the same recursion with phi = I + B dt and
-nu = Lambda dW.  The increment reads dW only through Y = dW Sigma'[h H], so
-each step draws k = min(m + n [+ n for exact], 1 + 2n) standard normals z
-and maps them by one upper-triangular matrix F (:func:`_shock_map`) to
-[nu | Y], with exactly the joint law of the scheme.  F[:n, :n] depends only
-on the model and the step, so nu reads the first n normals the same way for
-every strategy: at one seed, all strategies share their factor paths.
+with an Euler step (left endpoint).  With w = (1, x) the step is
+w'Cw + Y.w, where the drift C = [[c0, c1'/2], [c1/2, C2]] has c0 = (h'a -
+h'SS'h/2) dt, c1 = (A'h + H'a - H'SS'h) dt and C2 = sym(H'A - H'SS'H/2) dt,
+computed once per simulation, and Y = dW Sigma'[h H] is the step's
+Brownian shock.  Both factor schemes run one recursion for every n,
+x_j = phi x_{j-1} + nu_j, one matrix product per step.  The default is
+exact: phi = e^{B dt}, and nu, of covariance ``Delta - phi Delta phi'``, is
+drawn jointly with the Brownian increment through the exact conditional law
+(cov(nu, dW) = B^{-1}(phi - I) Lambda).  With a stationary start this makes
+the sample mean of u(T) an unbiased estimate of growth_rate * T at any step
+size; variances and covariances carry only O(dt) discretization error.  The
+Euler scheme, for convergence studies, is the same recursion with
+phi = I + B dt and nu = Lambda dW.
 
-Reproducibility contract, version 2: the normal draws consumed by path i at
+One upper-triangular F = [[R, top], [0, tail]] (:func:`_shock_map`) maps
+standard normals z = (z_nu, z_rest) to [nu | Y] with exactly the step's
+joint law, so nu = z_nu R and Y = z_nu top + z_rest tail.  Each step draws
+only the n normals z_nu: they give nu and E[Y | nu] = z_nu top.  The other
+normals reach u only through sum_j (z_rest,j tail).w_j, which, given the
+factor path, is exactly N(0, V) with V = sum_j w_j'Mw_j and M = tail'tail.
+So each path draws one closing normal eps after its last step and adds
+sqrt(V) eps to u, and (u(T), x(T)) keeps the law of the step-by-step
+scheme.  Each step's w'Cw is read from its products w_a w_b, and V from
+their sums over the steps; both are formed once for every strategy of a
+stack.  R depends only on the model and the step, so at one seed all
+strategies share their factor paths.
+
+Reproducibility contract, version 3: the normal draws consumed by path i at
 step j are a function of (seed, stream offset, i, j) only, independent of
 the total path count, the thread count, and scheduling.  Paths are grouped
 in fixed blocks of ``BLOCK``, each block owning one SFC64 stream seeded by
 ``SeedSequence([seed, stream offset, block index])``.  A block's stream
-gives its stationary-start normals, shaped (BLOCK, n), then per step one
-(BLOCK, k) array, always for the full block and sliced to its paths.  Steps
-are drawn in slabs of at most ``CHUNK`` = 16 as one (L, BLOCK, k) array,
-which holds the same normals as L single steps, and u sums its increments
-over periods of ``_SUM_STEPS`` = 32 steps whatever the slab length, so
-``CHUNK`` sets only memory use.  A block allocates its working set once:
-the slab's draws, its factor path, and one tilt and one increment scratch
-that every strategy of a stack reuses, under 4 MB per running block at 3x2.
-A stack of strategies runs one march: the draws and the factor path are
-formed once per slab and only the increment is taken per strategy, so each
+gives its stationary-start normals, shaped (n, BLOCK), then per step one
+(n, BLOCK) array, then the closing (BLOCK,) array, always for the full
+block and sliced to its paths (antithetic pairs flip the odd paths' signs).
+Steps are drawn in slabs of at most ``CHUNK`` = 16 as one (L, n, BLOCK)
+array, which holds the same normals as L single steps, and u and the
+products of w sum over periods of ``_SUM_STEPS`` = 32 steps whatever the
+slab length, so ``CHUNK`` sets only memory use.  A block allocates its
+working set once: the slab's draws, its factor path with the products of w,
+and one shock and one increment scratch that every strategy of a stack
+reuses, under 4 MB per running block at 3x2.  A stack of strategies runs
+one march: the draws, the factor path and the products of w are formed once
+per slab and only the increment and V are taken per strategy, so each
 strategy's result is bit for bit what it gives alone.  Identical inputs
 therefore give bit-identical :class:`PathStats`; a path or a cross-path
 statistic that overflows raises :class:`SimulationError`.
 :func:`simulate_discrete` draws from its own Philox stream, unchanged by
-version 2.
+version 3.
 """
 
 from __future__ import annotations
@@ -73,9 +83,9 @@ __all__ = [
 # Paths are grouped in blocks of ``BLOCK``, each with its own stream; this is
 # part of the draw-position contract described in the module docstring.  A
 # block's draws are generated at most ``CHUNK`` steps at a time, which sets
-# only the memory a slab uses: the draws do not depend on it, and u is summed
-# in periods of ``_SUM_STEPS`` steps that no slab straddles.  16 steps hold a
-# block's working set near 3.7 MB at 3x2; slabs of 32 ran no faster.
+# only the memory a slab uses: the draws do not depend on it, and u and the
+# products of w are summed in periods of ``_SUM_STEPS`` steps that no slab
+# straddles.  16 steps hold a block's working set near 3.6 MB at 3x2.
 BLOCK = 2048
 CHUNK = 16
 _SUM_STEPS = 32
@@ -221,70 +231,87 @@ def _transition(model: FactorModel, dt: float, scheme: str) -> _Transition:
         return _Transition(eye + B * dt, Lm.T.copy(), None, psd_sqrt(dlt))
     phi = scipy.linalg.expm(B * dt)
     step_cov = dlt - phi @ dlt @ phi.T
-    # cov(nu, dW) with Var(dW) = dt I.  A solve, not prepared.B_inv @, which rounds a -0.0
-    # entry to +0.0: _shock_map's QR would then flip the sign of F, and every draw with it.
-    M = np.linalg.solve(B, (phi - eye) @ Lm)
+    M = model.prepared.B_inv @ ((phi - eye) @ Lm)     # cov(nu, dW) with Var(dW) = dt I
     resid = step_cov - (M @ M.T) / dt
     return _Transition(phi, (M / dt).T.copy(), psd_sqrt(resid).T.copy(), psd_sqrt(dlt))
 
 
 def _normals(rng: np.random.Generator, out: np.ndarray, antithetic: bool) -> np.ndarray:
-    """Fill the C-contiguous ``out`` with standard normals, paths on the second-to-last axis.
+    """Fill the C-contiguous ``out`` with standard normals, paths on the last axis.
 
     Antithetic pairs flip the odd paths' signs.
     """
     rng.standard_normal(out=out)
     if antithetic:
-        np.negative(out[..., 0::2, :], out=out[..., 1::2, :])
+        np.negative(out[..., 0::2], out=out[..., 1::2])
     return out
 
 
 def _factor_path(x: np.ndarray, nu: np.ndarray, phi: np.ndarray, out=None) -> np.ndarray:
-    """States x_0..x_L of ``x_j = x_{j-1} phi' + nu_j``, step-major.
+    """States x_0..x_L of ``x_j = phi x_{j-1} + nu_j``, factor-major.
 
-    ``x`` has shape (..., n) and ``nu`` (L, ..., n); the result has shape
-    (L + 1, ..., n) with ``x`` first, written to ``out`` when given.
+    ``x`` has shape (n, ...) and ``nu`` (L, n, ...); the result has shape
+    (L + 1, n, ...) with ``x`` first, written to ``out`` when given.
     """
     if out is None:
         out = np.empty((nu.shape[0] + 1,) + x.shape)
     out[0] = x
-    phi_t = np.ascontiguousarray(phi.T)     # a strided phi.T runs about 3x slower
     for j in range(nu.shape[0]):
-        np.matmul(out[j], phi_t, out=out[j + 1])
+        np.matmul(phi, out[j], out=out[j + 1])
         out[j + 1] += nu[j]
     return out
 
 
+def _pair_weights(Q: np.ndarray) -> np.ndarray:
+    """Weights q with ``w'Qw = q . pairs(w)`` for a symmetric Q.
+
+    ``pairs(w)`` lists the products w_a w_b, a <= b, in the order of
+    ``np.triu_indices``; with w = (1, x) it starts 1, x_1, ..., x_n.
+    """
+    rows, cols = np.triu_indices(Q.shape[0])
+    return np.where(rows == cols, 1.0, 2.0) * Q[rows, cols]
+
+
 def _increment(model: FactorModel, strategy: Strategy, tr: _Transition, dt: float):
-    """Per-step coefficients (c0, c1, C2, F) of the log-wealth increment.
+    """Per-step pieces (drift, top, var, F) of the log-wealth increment.
 
     From factor state x with Brownian increment dW the increment is
-    ``c0 + c1'x + x'C2x + Y[0] + x'Y[1:]`` with ``Y = dW G`` and
-    ``G = Sigma'[h H]``; ``F`` is the :func:`_shock_map` of G.
+    ``w'Cw + Y.w`` with w = (1, x), ``Y = dW G`` and ``G = Sigma'[h H]``.
+    ``F = [[R, top], [0, tail]]`` is the :func:`_shock_map` of G; ``drift``
+    and ``var`` are the :func:`_pair_weights` of C and of M = tail'tail, and
+    ``top`` is transposed, so E[Y | nu] = top @ z_nu.
     """
     h, H, a, SS = strategy.h, strategy.H, model.a, model.prepared.SS
+    n = model.n
     with np.errstate(over="ignore", invalid="ignore"):
         SSh, HSS = SS @ h, H.T @ SS
-        c0 = (h @ a - 0.5 * h @ SSh) * dt
-        c1 = (model.A.T @ h + H.T @ a - HSS @ h) * dt
+        C = np.empty((n + 1, n + 1))
+        C[0, 0] = (h @ a - 0.5 * h @ SSh) * dt
+        C[1:, 0] = C[0, 1:] = 0.5 * (model.A.T @ h + H.T @ a - HSS @ h) * dt
         C2 = H.T @ model.A - 0.5 * HSS @ H
-        C2 = 0.5 * (C2 + C2.T) * dt
+        C[1:, 1:] = 0.5 * (C2 + C2.T) * dt
         F = _shock_map(tr, model.Sigma.T @ np.column_stack([h, H]), dt)
-    return c0, c1, C2, F
+        tail = F[n:, n:]
+        var = _pair_weights(tail.T @ tail)
+    return _pair_weights(C), np.ascontiguousarray(F[:n, n:].T), var, F
 
 
 def _shock_map(tr: _Transition, G: np.ndarray, dt: float) -> np.ndarray:
     """Upper-triangular F with ``z @ F`` distributed as one step's [nu | dW G].
 
     ``T = [T_nu | T_y]`` maps the step's standard normals (the Brownian
-    ones, then the exact scheme's extra ones) to [nu | Y = dW G].  F is the R
-    factor of T, so F'F = T'T and the law is exact, with k = min(rows of T,
-    1 + 2n) normals.  It is built in two stages, ``T_nu = Q R`` and then
-    the QR of the rows of ``Q'T_y`` below the first n, so that F[:n, :n] =
-    R depends only on the transition: ``nu`` reads the first n normals
-    through the same bits for every strategy.  (One QR of all of T does
-    not give that: LAPACK skips zero trailing columns, such as those of
-    H = 0, and the last bits of R move with them.)
+    ones, then the exact scheme's extra ones) to [nu | Y = dW G].  F is the
+    triangular factor of T'T with a nonnegative diagonal, so F'F = T'T and
+    the law is exact, with k = min(rows of T, 1 + 2n) rows.  It is built in
+    two stages, ``T_nu = Q R`` and then the QR of the rows of ``Q'T_y``
+    below the first n, so that F[:n, :n] = R depends only on the
+    transition: ``nu`` reads the first n normals through the same bits for
+    every strategy.  (One QR of all of T does not give that: LAPACK skips
+    zero trailing columns, such as those of H = 0, and the last bits of R
+    move with them.)  Householder QR takes each row's sign, and its last
+    bits, from its input, down to the sign of a zero, so T and F are taken
+    with every -0.0 turned into +0.0 (by adding +0.0), and each row of F is
+    scaled by the sign of its diagonal entry, 0 counting as +.
     """
     n = tr.phi.shape[0]
     sqdt = math.sqrt(dt)
@@ -292,69 +319,71 @@ def _shock_map(tr: _Transition, G: np.ndarray, dt: float) -> np.ndarray:
     if tr.nu_from_z is not None:
         T_nu = np.vstack([T_nu, tr.nu_from_z])
         T_y = np.vstack([T_y, np.zeros((n, G.shape[1]))])
-    Q, R = np.linalg.qr(T_nu, mode="complete")
-    rot = Q.T @ T_y
+    Q, R = np.linalg.qr(T_nu + 0.0, mode="complete")
+    rot = Q.T @ (T_y + 0.0)
     tail = np.linalg.qr(rot[n:], mode="r")
     F = np.zeros((n + tail.shape[0], n + G.shape[1]))
     F[:n, :n] = R[:n]
     F[:n, n:] = rot[:n]
     F[n:, n:] = tail
-    return F
+    return F * np.where(np.diag(F) < 0.0, -1.0, 1.0)[:, None] + 0.0
 
 
 def _march_block(coefs, config, tr, steps, block, rows, stream_offset):
     """Advance one block of paths to the terminal time under every strategy of a stack.
 
     ``coefs`` holds one :func:`_increment` tuple per strategy.  Returns (u, x)
-    of shapes (s, rows) and (rows, n).  Draws follow contract v2 (module
-    docstring): after the (BLOCK, n) stationary-start normals, each slab of
-    L steps is one (L, BLOCK, k) array sliced to ``rows`` and run
-    step-major.  ``z @ F = [nu | Y]`` is taken in three column blocks (nu,
-    the level shock Y[0], the tilt shocks Y[1:]) so each product is
-    contiguous; nu and the factor path do not depend on the strategy and are
-    formed once a slab.  Row 0 of ``path`` carries the slab's start state,
-    and row 0 of ``inc`` a strategy's sum over the period so far, which one
-    reduction then continues.
+    of shapes (s, rows) and (rows, n).  Draws follow contract v3 (module
+    docstring): after the (n, BLOCK) stationary-start normals, each slab of
+    L steps is one (L, n, BLOCK) array sliced to ``rows``, and after the last
+    step one (BLOCK,) closing array.  The march is factor-major, paths on
+    the last axis.  ``pairs`` holds per step the entries of pairs(w) after
+    the constant 1 (:func:`_pair_weights`): x, then the products x_a x_b.
+    Its rows 1..L + 1 carry the states x_0..x_L of the slab, and row 0 the
+    sums over the period so far, which one reduction then continues, as row
+    0 of ``inc`` does for a strategy's increments.  nu, the factor path and
+    ``pairs`` do not depend on the strategy and are formed once a slab; each
+    strategy reads its drift from ``pairs`` and its shock from its own
+    product with z, and at the end its V from the sums of ``pairs``.
     """
-    n, k = tr.phi.shape[0], coefs[0][3].shape[0]
-    nu_map = np.ascontiguousarray(coefs[0][3][:, :n])       # the same for every strategy
-    per_strategy = [
-        # c1 tiled to a contiguous row per path: a fast broadcast
-        (c0, np.tile(c1, (rows, 1)), C2, np.ascontiguousarray(F[:, n]),
-         np.ascontiguousarray(F[:, n + 1:]))
-        for c0, c1, C2, F in coefs]
+    n = tr.phi.shape[0]
+    R_t = np.ascontiguousarray(coefs[0][3][:n, :n].T)       # the same for every strategy
     label = _labels(len(coefs))
     anti = config.antithetic
     rng = _block_rng(config.seed, stream_offset, block)
+    products = [(n + j, a, b) for j, (a, b) in enumerate(zip(*np.triu_indices(n)))]
 
-    draws = np.empty((CHUNK, BLOCK, k))
-    path = np.empty((CHUNK + 1, rows, n))
-    shock = np.empty((CHUNK, rows, n))      # nu, then each strategy's tilt shocks
-    tilt = np.empty((CHUNK, rows, n))
-    level = np.empty((CHUNK, rows))
+    draws = np.empty((CHUNK, n, BLOCK))
+    pairs = np.empty((CHUNK + 2, n + len(products), rows))
+    shock = np.empty((CHUNK, n + 1, rows))      # nu, then each strategy's E[Y | nu]
     inc = np.empty((CHUNK + 1, rows))
     part = np.zeros((len(coefs), rows))     # each strategy's sum over the current period
     u = np.zeros((len(coefs), rows))
+    pairs_part = np.zeros(pairs.shape[1:])
+    pairs_sum = np.zeros(pairs.shape[1:])
+    x = pairs[1:, :n]
 
     if config.stationary_start:
-        path[0] = _normals(rng, np.empty((BLOCK, n)), anti)[:rows] @ tr.x0_sqrt.T
+        x[0] = tr.x0_sqrt @ _normals(rng, np.empty((n, BLOCK)), anti)[:, :rows]
     else:
-        path[0] = 0.0
+        x[0] = 0.0
 
     start = 0
     while start < steps:
         L = min(CHUNK, steps - start, _SUM_STEPS - start % _SUM_STEPS)
-        z = _normals(rng, draws[:L], anti)[:, :rows]
-        np.matmul(z, nu_map, out=shock[:L])
-        _factor_path(path[0], shock[:L], tr.phi, out=path[:L + 1])
-        xleft, step_inc = path[:L], inc[1:L + 1]
-        for i, (c0, c1, C2, F_level, F_tilt) in enumerate(per_strategy):
-            np.matmul(xleft, C2, out=tilt[:L])
-            tilt[:L] += c1
-            tilt[:L] += np.matmul(z, F_tilt, out=shock[:L])
-            np.einsum("lpi,lpi->lp", xleft, tilt[:L], out=step_inc)
-            step_inc += np.matmul(z, F_level, out=level[:L])
-            step_inc += c0
+        z = _normals(rng, draws[:L], anti)[..., :rows]
+        np.matmul(R_t, z, out=shock[:L, :n])
+        _factor_path(x[0], shock[:L, :n], tr.phi, out=x[:L + 1])
+        for j, a, b in products:
+            np.multiply(x[:L, a], x[:L, b], out=pairs[1:L + 1, j])
+        step_inc = inc[1:L + 1]
+        for i, (drift, top, _, _) in enumerate(coefs):
+            np.matmul(drift[1:], pairs[1:L + 1], out=step_inc)
+            step_inc += drift[0]
+            np.matmul(top, z, out=shock[:L])
+            shock[:L, 1:] *= x[:L]
+            for k in range(n + 1):
+                step_inc += shock[:L, k]
 
             bad = ~np.isfinite(step_inc)
             if bad.any():
@@ -365,24 +394,41 @@ def _march_block(coefs, config, tr, steps, block, rows, stream_offset):
             inc[0] = part[i]
             with np.errstate(over="ignore"):
                 np.add.reduce(inc[:L + 1], axis=0, out=part[i])
+        pairs[0] = pairs_part
+        with np.errstate(over="ignore"):
+            np.add.reduce(pairs[:L + 1], axis=0, out=pairs_part)
         start += L
         if start % _SUM_STEPS == 0 or start == steps:
             with np.errstate(over="ignore"):
                 u += part
+                pairs_sum += pairs_part
             part[:] = 0.0
+            pairs_part[:] = 0.0
             for i in range(len(coefs)):
-                if not np.all(np.isfinite(u[i])):
-                    p = int(np.argmax(~np.isfinite(u[i])))
-                    raise SimulationError(
-                        f"non-finite log wealth by step {start}, path {block * BLOCK + p}{label[i]}"
-                    )
-            if not np.all(np.isfinite(path[L])):
-                p = int(np.argwhere(~np.isfinite(path[L]))[0, 0])
+                _check_wealth(u[i], start, block, label[i])
+            bad = ~np.all(np.isfinite(x[L]), axis=0)
+            if bad.any():
+                p = int(np.argmax(bad))
                 raise SimulationError(
                     f"non-finite factor state by step {start}, path {block * BLOCK + p}"
                 )
-        path[0] = path[L]
-    return u, path[0]
+        x[0] = x[L]
+
+    eps = _normals(rng, np.empty(BLOCK), anti)[:rows]
+    for i, (_, _, var, _) in enumerate(coefs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            V = var[1:] @ pairs_sum + var[0] * steps
+            # V >= 0, but a singular M can leave it a rounding error below 0
+            u[i] += np.sqrt(np.maximum(V, 0.0)) * eps
+        _check_wealth(u[i], steps, block, label[i])
+    return u, x[0].T
+
+
+def _check_wealth(u: np.ndarray, step: int, block: int, label: str) -> None:
+    """Raise SimulationError at the first path of a block whose log wealth is not finite."""
+    if not np.all(np.isfinite(u)):
+        p = int(np.argmax(~np.isfinite(u)))
+        raise SimulationError(f"non-finite log wealth by step {step}, path {block * BLOCK + p}{label}")
 
 
 def _labels(count: int) -> list:

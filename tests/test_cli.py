@@ -343,6 +343,20 @@ def test_simulate_stats_deterministic(model_file, capsys):
     assert np.isfinite(doc["mean_u"])
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["simulate", "--antithetic"], "stats.json"),
+    (["moments", "--check"], "moments.json"),
+])
+def test_default_threads_write_the_bytes_of_one_thread(argv, name, model_file, tmp_path, capsys):
+    # three blocks of paths, so a default of more than one thread runs the pool
+    argv = argv + ["--model", model_file, "--dt", "0.5", "--horizon", "20", "--paths", "4200"]
+    assert main(argv + ["--out", str(tmp_path / "default")]) == 0
+    default = capsys.readouterr().out
+    assert main(argv + ["--threads", "1", "--out", str(tmp_path / "one")]) == 0
+    assert capsys.readouterr().out == default
+    assert (tmp_path / "default" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+
 def test_simulate_without_out_writes_nothing(model_file, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     rc = main(["simulate", "--model", model_file, "--dt", "0.5", "--horizon", "20",

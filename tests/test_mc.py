@@ -288,19 +288,19 @@ def test_discrete_series_minimum_length(model):
 
 
 def test_draw_layout_pinned(model):
-    # values recorded from draw contract v2; a change to the generator, the
+    # values recorded from draw contract v3; a change to the generator, the
     # block grouping, the draw order or the shock map fails here
     cfg = SimConfig(dt=0.5, horizon=10.0, paths=64, seed=11)
     one = simulate(model, scalar_strategy(1.0, 0.5), cfg)
-    assert_allclose(one.mean_u, -0.2782801358608335, rtol=1e-12)
-    assert_allclose(one.var_u, 0.6853108256066902, rtol=1e-12)
-    assert_allclose(one.final_u[:3], [-0.02154771835969528, -0.8876497718461264,
-                                      0.11426666659511528], rtol=1e-12)
+    assert_allclose(one.mean_u, -0.4107612416208554, rtol=1e-12)
+    assert_allclose(one.var_u, 0.9283540701503009, rtol=1e-12)
+    assert_allclose(one.final_u[:3], [-0.030546158982185857, -0.302539719994515,
+                                      -0.2593287820631455], rtol=1e-12)
     two = simulate(*two_factor(), cfg)
-    assert_allclose(two.mean_u, 0.08257122963394159, rtol=1e-12)
-    assert_allclose(two.var_u, 0.009547514714285455, rtol=1e-12)
-    assert_allclose(two.final_u[:3], [0.1016881201852072, -0.1204137010426364,
-                                      0.08413055012882882], rtol=1e-12)
+    assert_allclose(two.mean_u, 0.05090980861266929, rtol=1e-12)
+    assert_allclose(two.var_u, 0.012805074540081184, rtol=1e-12)
+    assert_allclose(two.final_u[:3], [0.2199069279009681, -0.06850452631931171,
+                                      0.11285439914421871], rtol=1e-12)
 
 
 @pytest.mark.parametrize("antithetic", [False, True])
@@ -320,36 +320,46 @@ def reference_march(model, strategy, config):
     """Terminal (u, x) of one block, one step at a time through the direct formula.
 
     Draws follow the documented layout: the stationary start, then one
-    (BLOCK, k) array of normals per step, each drawn for a full block and
-    sliced.  The step's normals map through F to the factor innovation nu
-    and Y = dW G, with G = Sigma'[h H].  The increment is
-    w'mu dt - w'SS'w dt / 2 + Y[0] + x'Y[1:] with w = h + Hx and mu = a + Ax,
-    at the step's left endpoint.
+    (n, BLOCK) array of normals per step, then one closing (BLOCK,) array,
+    each drawn for a full block and sliced.  The law comes from the joint
+    covariance of one step's [nu | Y], Y = dW G with G = Sigma'[h H], not
+    from the shock map: nu = z R with R'R = Cov(nu), R upper triangular with
+    a positive diagonal, and Gaussian conditioning gives E[Y | nu] and
+    Cov(Y | nu).  The increment is w'mu dt - w'SS'w dt / 2 + E[Y | nu].(1, x)
+    with w = h + Hx and mu = a + Ax, at the step's left endpoint; the rest
+    of the shock adds sqrt(V) times the closing normal, V summing
+    (1, x)'Cov(Y | nu)(1, x) over the steps.
     """
     n, dt, rows = model.n, config.dt, config.paths
     tr = mc._transition(model, dt, config.factor_scheme)
-    F = mc._increment(model, strategy, tr, dt)[-1]
+    G = model.Sigma.T @ np.column_stack([strategy.h, strategy.H])
+    cov = step_covariance(model, dt, config.factor_scheme, G)
+    cov_nu, cov_nu_y = cov[:n, :n], cov[:n, n:]
+    R = np.linalg.cholesky(cov_nu).T
+    gain = np.linalg.solve(cov_nu, cov_nu_y)            # E[Y | nu] = nu @ gain
+    cond = cov[n:, n:] - cov_nu_y.T @ gain              # Cov(Y | nu)
     rng = mc._block_rng(config.seed, 0, 0)
 
     def normals(shape):
         Z = rng.standard_normal(shape)
         if config.antithetic:
-            Z[1::2] = -Z[0::2]
-        return Z[:rows]
+            Z[..., 1::2] = -Z[..., 0::2]
+        return Z[..., :rows]
 
     SS = model.Sigma @ model.Sigma.T
-    x = normals((BLOCK, n)) @ tr.x0_sqrt.T
-    u = np.zeros(rows)
+    x = (tr.x0_sqrt @ normals((n, BLOCK))).T
+    u, V = np.zeros(rows), np.zeros(rows)
     for _ in range(int(round(config.horizon / dt))):
-        shocks = normals((BLOCK, F.shape[0])) @ F
-        nu, Y = shocks[:, :n], shocks[:, n:]
+        nu = normals((n, BLOCK)).T @ R
+        one_x = np.column_stack([np.ones(rows), x])
         w = strategy.h + x @ strategy.H.T
         mu = model.a + x @ model.A.T
         drift = np.einsum("pm,pm->p", w, mu)
         quad = np.einsum("pm,pm->p", w @ SS, w)
-        u += (drift - 0.5 * quad) * dt + Y[:, 0] + np.einsum("pi,pi->p", x, Y[:, 1:])
+        u += (drift - 0.5 * quad) * dt + np.einsum("pi,pi->p", one_x, nu @ gain)
+        V += np.einsum("pi,ij,pj->p", one_x, cond, one_x)
         x = x @ tr.phi.T + nu
-    return u, x
+    return u + np.sqrt(V) * normals(BLOCK), x
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (1, 2), (3, 2), (2, 3)])
@@ -400,6 +410,55 @@ def test_shock_map_has_the_step_law(scheme):
             assert np.array_equal(F, np.triu(F)), (m, n)
             assert np.all(F[n:, :n] == 0.0), (m, n)
             assert np.abs(F.T @ F - cov).max() <= 1e-14 * np.abs(cov).max(), (m, n)
+
+
+@pytest.mark.parametrize("scheme", ["exact", "euler"])
+def test_shock_map_sign_is_canonical(model, scheme):
+    # F is the triangular factor of T'T with a nonnegative diagonal
+    dt = 0.1
+    for m, n in ((1, 1), (2, 3), (3, 2)):
+        rng = np.random.default_rng(200 + 10 * m + n)
+        wide = random_stable_model(rng, m, n)
+        strategy = Strategy(h=rng.normal(size=m), H=rng.normal(size=(m, n)))
+        F = mc._increment(wide, strategy, mc._transition(wide, dt, scheme), dt)[-1]
+        assert not np.any(np.signbit(np.diag(F))), (m, n)
+
+    # a zero of T rounded to -0.0 or +0.0 gives the same bits: the reference
+    # model's Lambda[0, 0] = 0 in cov(nu, dW), and the zero tilt of H = 0
+    tr = mc._transition(model, dt, scheme)
+    assert tr.nu_from_dw[0, 0] == 0.0
+    for G in (model.Sigma.T @ np.array([[1.0, 0.5]]), model.Sigma.T @ np.array([[1.0, 0.0]])):
+        F = mc._shock_map(tr, G, dt)
+        for zero in (0.0, -0.0):
+            nu_from_dw = tr.nu_from_dw.copy()
+            nu_from_dw[0, 0] = zero
+            flipped = np.where(G == 0.0, zero, G)
+            other = mc._shock_map(dataclasses.replace(tr, nu_from_dw=nu_from_dw), flipped, dt)
+            assert other.tobytes() == F.tobytes(), zero
+
+
+def test_block_draws_only_the_factor_normals(monkeypatch):
+    # per block: n normals per path for the start, n per path and step, and
+    # one closing normal per path
+    drawn = []
+
+    def counting(rng, out, antithetic):
+        drawn.append(out.size)
+        return normals(rng, out, antithetic)
+
+    normals = mc._normals
+    monkeypatch.setattr(mc, "_normals", counting)
+    for m, n in ((1, 1), (3, 2), (2, 3)):
+        model = random_stable_model(np.random.default_rng(50 + 10 * m + n), m, n)
+        strategy = Strategy(h=np.full(m, 0.5), H=np.full((m, n), 0.1))
+        for scheme in ("exact", "euler"):
+            for antithetic in (False, True):
+                # 45 steps: slabs of 16, 16 and 13
+                cfg = SimConfig(dt=0.2, horizon=9.0, paths=100, seed=2, factor_scheme=scheme,
+                                antithetic=antithetic)
+                drawn.clear()
+                simulate(model, strategy, cfg)
+                assert sum(drawn) == BLOCK * n + 45 * BLOCK * n + BLOCK, (m, n, scheme, antithetic)
 
 
 @pytest.mark.parametrize("scheme", ["exact", "euler"])
@@ -485,10 +544,10 @@ def test_single_factor_path_is_the_linear_filter():
     rng = np.random.default_rng(2)
     x0, nu = rng.normal(size=(50, 1)), rng.normal(size=(CHUNK, 50, 1))
     c = 0.97
-    path = mc._factor_path(x0, nu, np.array([[c]]))
+    path = mc._factor_path(x0.T, nu.transpose(0, 2, 1), np.array([[c]]))
     expected, _ = lfilter([1.0], [1.0, -c], nu[..., 0], axis=0, zi=c * x0[:, 0][None])
-    assert np.array_equal(path[0], x0)
-    assert np.array_equal(path[1:, :, 0], expected)
+    assert np.array_equal(path[0], x0.T)
+    assert np.array_equal(path[1:, 0], expected)
 
 
 def stack_of(strategies):
