@@ -4,8 +4,8 @@ Everything here operates on the factor feedback matrix of a linear factor
 model, which must be a stability (Hurwitz) matrix: every eigenvalue has a
 strictly negative real part.  :func:`lyapunov_operator` builds the n^2 x n^2
 matrix L of ``S -> B S + S B'``, and a model inverts it once
-(:func:`inverse`): D and the coefficients of every offset S are right-hand
-sides times L^-T.  :func:`refined_failures` holds a stack of such solutions
+(:func:`inverse`): D and every offset S are their right-hand sides times
+L^-T.  :func:`refined_failures` holds a stack of such solutions
 to one residual check (:func:`residual_failures`), after one refinement step
 on the slices that fail it.  The products are dense and sized for the n <= 8
 systems this package works with; they enforce the residual contract of the

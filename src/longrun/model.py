@@ -154,22 +154,37 @@ class FactorModel:
     @cached_property
     def prepared(self) -> PreparedModel:
         """The strategy-independent terms, built on first use and kept on this model."""
-        from .moments import moment_form      # the engine owns its form's layout
-        B, n = self.B, self.n
+        a, A, B, Sg, Lm, m, n = self.a, self.A, self.B, self.Sigma, self.Lambda, self.m, self.n
         L = lyapunov_operator(B)
         LT, LT_inv, B_norm = L.T, inverse(L).T, float(np.linalg.norm(B))
-        C = -(self.Lambda @ self.Lambda.T)
+        C = -(Lm @ Lm.T)
         D = (C.reshape(1, -1) @ LT_inv).reshape(n, n)
         D = 0.5 * (D + D.T)
         bad, residual, bound = refined_failures(LT, LT_inv, D[None], C[None], B_norm)
         if bad[0]:
             raise NumericError(f"Lyapunov residual {residual[0]:.3e} exceeds its bound {bound[0]:.3e}")
-        SS = self.Sigma @ self.Sigma.T
+        SS = Sg @ Sg.T
         B_inv = inverse(B)
-        K = (B_inv @ self.Lambda).T
+        K = (B_inv @ Lm).T
+        # rows: the row-major [U; Omega; Hb]; columns: the growth rate <Omega, diag(1, D)>, <D, U_11>,
+        # and [P' Y'] = [c' h'] [[-D B^-T, -B^-1 Lambda], [-Sigma Lambda' B^-T, Sigma]], where
+        # c = Omega[1:, 0] + Omega[0, 1:] is the x-coefficient of the drift
+        linear = np.zeros((2 * (1 + n) + m, 1 + n, 2 + 2 * n + m))
+        U, Om, Hb = linear[1:1 + n, 1:], linear[1 + n:2 + 2 * n], linear[2 + 2 * n:]
+        U[..., 1] = D
+        Om[0, 0, 0], Om[1:, 1:, 0] = 1.0, D
+        Om[1:, 0, 2:] = Om[0, 1:, 2:] = np.hstack([-D @ B_inv.T, -K.T])
+        Hb[:, 0, 2:] = np.hstack([-Sg @ K, Sg])
+        iu, ju = np.triu_indices(n)
+        mirror = np.zeros((n, n), dtype=np.intp)
+        mirror[iu, ju] = mirror[ju, iu] = np.arange(iu.size)
+        mirror.flags.writeable = False
         return PreparedModel(D=_freeze(D), SS=_freeze(SS), B_inv=_freeze(B_inv), K=_freeze(K),
-                             G0=_freeze(self.Sigma.T - K @ self.A.T), B_norm=B_norm,
-                             form=_freeze(moment_form(self, D, SS, B_inv, LT_inv)),
+                             G0=_freeze(Sg.T - K @ A.T), B_norm=B_norm,
+                             drift=_freeze(np.column_stack([a, A])), mirror=mirror,
+                             linear=_freeze(linear.reshape(-1, linear.shape[-1])),
+                             rhs=_freeze(-np.hstack([D, Lm @ Sg.T])),
+                             offset=_freeze(0.5 * (LT_inv[:, iu * n + ju] + LT_inv[:, ju * n + iu])),
                              lyapunov=_freeze(LT), lyapunov_inv=_freeze(LT_inv))
 
 
@@ -189,14 +204,16 @@ class PreparedModel:
     B_inv, K, G0 : ndarray, shapes (n, n), (m+n, n) and (m+n, m)
         B^-1 (:func:`longrun.linalg.inverse`), and ``K = Lambda' B^-T`` and ``G0 = Sigma' - K A'``,
         the model's terms of the maximizing h (``longrun.criterion._h_solver``).
-    form : ndarray, shape ((d+1)(d+2)/2, 2 + m + 2n + 3n^2), d = m + m n
-        Every moment of a strategy, and the offset's right-hand side Q, as a
-        quadratic form in z = (1, h, vec H) (:func:`longrun.moments.moment_form`).
+    drift, linear, rhs, offset, mirror : ndarray
+        The moment engine's constants (``longrun.moments._engine``): ``[a A]``, the map from
+        ``[U; Omega; Hb]`` to the growth rate, ``<D, H'SS'H>``, P and Y, ``-[D  Lambda Sigma']``, the
+        symmetrized columns p <= q of L^-T, and the indices that read those p <= q, row by row,
+        into both triangles of an n x n matrix.
     lyapunov, lyapunov_inv : ndarray, shape (n^2, n^2)
         L' and L^-T, L the matrix of the Lyapunov operator (:func:`longrun.linalg.lyapunov_operator`),
-        inverted once: D is ``vec(-Lambda Lambda') L^-T`` and S's coefficients in ``form`` are Q's
-        times L^-T.  With ``B_norm``, the Frobenius norm of B, they are what the residual check and
-        its refinement step (:func:`longrun.linalg.refined_failures`) apply to D and every S.
+        inverted once: D is ``vec(-Lambda Lambda') L^-T``.  With ``B_norm``, the Frobenius norm of
+        B, they are what the residual check and its refinement step
+        (:func:`longrun.linalg.refined_failures`) apply to D and every S.
     """
 
     D: np.ndarray
@@ -204,7 +221,11 @@ class PreparedModel:
     B_inv: np.ndarray
     K: np.ndarray
     G0: np.ndarray
-    form: np.ndarray
+    drift: np.ndarray
+    linear: np.ndarray
+    rhs: np.ndarray
+    offset: np.ndarray
+    mirror: np.ndarray
     lyapunov: np.ndarray
     lyapunov_inv: np.ndarray
     B_norm: float

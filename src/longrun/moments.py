@@ -12,16 +12,13 @@ x(t) satisfy, as t grows:
 with every coefficient in closed form in terms of the stationary factor
 covariance D.  Two independent code paths compute them:
 
-* :func:`moments`: the matrix engine, valid for any (m, n).  With
-  z = (1, h, vec H), every moment of a strategy, the offset S included, is a
-  quadratic form in z whose coefficients (:func:`moment_form`) depend only
-  on the model: they are built once, S's as Q's times the one inverse of
-  the Lyapunov operator that also gives D, and kept on the model with D
-  (``FactorModel.prepared``).  A stack of k strategies, ``h`` of shape
-  (k, m) and ``H`` of shape (k, m, n), then costs k vector-matrix products
-  of z z' with them, and every S passes the residual check against its own
-  right-hand side, after one refinement step if it fails the first
-  (:func:`~longrun.linalg.refined_failures`).  Every moment is a field.
+* :func:`moments`: the matrix engine, valid for any (m, n).  With Hb = [h H],
+  the drift of u is w' Omega w in w = (1, x), Omega = Hb'([a A] - SS'Hb/2);
+  K, P, Y, S and the rate are whole-matrix products of Omega, Hb and D with
+  constants built once per model (``FactorModel.prepared``), O((m + n)^2 n
+  + n^4) multiply-adds a row.  Every offset S passes the residual check
+  against its own right-hand side, after one refinement step if it fails
+  the first (:func:`~longrun.linalg.refined_failures`).  Every moment is a field.
 * :func:`scalar_moments`: explicit scalar algebra for the one-asset,
   one-factor case with the diffusion convention Sigma = (sig, eta),
   Lambda = (0, lam).  It shares no linear-algebra code with the matrix
@@ -34,7 +31,6 @@ this on a grid and validates both against the Monte Carlo oracle in
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,10 +82,6 @@ class AsymptoticMoments:
     second_moment_slope: np.ndarray
 
 
-# The engine forms z z' for at most this many pairs at a time: its memory stays bounded.
-_PAIRS_AT_ONCE = 1 << 16
-
-
 def stationary_covariance(model: FactorModel) -> np.ndarray:
     """Stationary covariance of the factor process (symmetric PSD, read-only)."""
     return model.prepared.D
@@ -116,106 +108,52 @@ def _stack(model: FactorModel, strategy):
     return h, H
 
 
-@functools.cache
-def _upper_pairs(size: int) -> np.ndarray:
-    """The (2, Z) read-only index pairs p <= q of a size x size matrix, row by row."""
-    pairs = np.array(np.nonzero(~np.tri(size, k=-1, dtype=bool)))
-    pairs.flags.writeable = False
-    return pairs
-
-
-@functools.cache
-def _mirror(n: int) -> np.ndarray:
-    """Read-only row-major indices that read an n x n upper triangle into both triangles."""
-    index = np.sort(np.indices((n, n)).reshape(2, -1), axis=0).T @ np.array([n, 1])
-    index.flags.writeable = False
-    return index
-
-
-def moment_form(model: FactorModel, D: np.ndarray, SS: np.ndarray, B_inv: np.ndarray,
-                LT_inv: np.ndarray) -> np.ndarray:
-    """The (Z, 2 + m + 2n + 3n^2) coefficients of the moments as quadratic forms in z = (1, h, vec H).
-
-    Row j holds the coefficients of z_p z_q, (p, q) = ``_upper_pairs(d + 1)[:, j]``
-    with d = m + m n, in the fields K, tr(D H'SS'H), P, Y, M = 2H'A - H'SS'H,
-    Q and S (the last three n^2 each, row-major).  The offset S solves
-    B S + S B' = Q, Q = -(D M D) - 2 Lambda Sigma' H D symmetrized (a no-op for
-    n = 1; for n > 1 what makes S the genuine, symmetric, constant term of
-    E[u x x'], as the Monte Carlo oracle confirms), so S's block is Q's times
-    LT_inv, the transposed inverse of the matrix of
-    :func:`~longrun.linalg.lyapunov_operator` of B, symmetrized.
-    """
-    a, A, Sg, Lm = model.a, model.A, model.Sigma, model.Lambda
-    m, n = A.shape
-    mn, nn, d, o, eye = m * n, n * n, m + m * n, 2 + m + 2 * n, np.eye(n)
-    h, H, PY = slice(1, m + 1), slice(m + 1, d + 1), slice(2, o)
-    M, Q = slice(o, o + nn), slice(o + nn, o + 2 * nn)
-    W = np.concatenate([D @ B_inv.T, B_inv @ Lm], axis=1)
-    AD = A @ D
-    # C[p, q] holds the coefficient of z_p z_q; only C[p, q] + C[q, p] counts
-    C = np.zeros((d + 1, d + 1, o + 3 * nn))
-    # K = h'a - h'SS'h / 2 + <D, H'A> - tr(D H'SS'H) / 2
-    C[0, h, 0] = a
-    C[h, h, 0] = -0.5 * SS
-    C[0, H, 0] = AD.ravel()
-    C[H, H, :2] = (SS[:, None, :, None] * D[:, None, :]).reshape(mn, mn, 1) * np.array([-0.5, 1.0])
-    # P = (row D - h'Sigma Lambda') B^-T and Y = row B^-1 Lambda + h'Sigma, row = h'SS'H - h'A - a'H
-    C[0, h, PY] = np.concatenate([-(Sg @ W[:, n:].T), Sg], axis=1) - A @ W
-    C[0, H, PY] = -(a[:, None, None] * W).reshape(mn, -1)
-    C[h, H, PY] = (SS[:, :, None, None] * W).reshape(m, mn, -1)
-    # M = 2H'A - H'SS'H
-    C[0, H, M] = 2.0 * (eye[:, :, None] * A[:, None, None, :]).reshape(mn, nn)
-    SS6 = SS[:, None, :, None, None, None]
-    C[H, H, M] = -(SS6 * eye[:, None, None, :, None] * eye[:, None, :]).reshape(mn, mn, nn)
-    # Q: its linear part symmetrized here, its quadratic part once folded below
-    X = D[:, :, None] * AD[:, None, None, :] + (Sg @ Lm.T)[:, None, :, None] * D[:, None, :]
-    C[0, H, Q] = -(X + X.transpose(0, 1, 3, 2)).reshape(mn, nn)
-    C[H, H, Q] = (SS6 * D[:, None, None, :, None] * D[:, None, :]).reshape(mn, mn, nn)
-    diagonal = np.arange(d + 1)
-    C[diagonal, diagonal] *= 0.5
-    iu, ju = _upper_pairs(d + 1)
-    form = C[iu, ju] + C[ju, iu]
-    # unchecked here: the engine holds every offset it computes to the residual check
-    S = (form[:, Q] @ LT_inv).reshape(-1, n, n)
-    form[:, Q.stop:] = (0.5 * (S + S.transpose(0, 2, 1))).reshape(-1, nn)
-    return form
-
-
 def _engine(model: FactorModel, h: np.ndarray, H: np.ndarray,
             check: bool = True, one: bool = False) -> AsymptoticMoments:
     """All long-run moments of the strategy stack ``h`` (k, m), ``H`` (k, m, n).
+
+    Every product is batched over the stack with shapes (k, ., .), so a row
+    rounds alike in any stack.  With ``Hb = [h H]`` the drift of u is
+    ``w' Omega w`` in ``w = (1, x)``, ``Omega = Hb'([a A] - SS'Hb/2)``, and:
+
+    * K, <D, H'SS'H>, P and Y are the row-major [U; Omega; Hb], U = Hb'SS'Hb,
+      times ``prepared.linear``;
+    * S solves B S + S B' = Q, Q = E + E', E = -[D  Lambda Sigma'] [Omega_11; H] D.
+      Q is symmetric, which for n > 1 makes S the constant term of E[u x x'], as
+      the Monte Carlo oracle confirms.  vec(Q) times ``prepared.offset`` is S's
+      upper triangle, read into both;
+    * rate = |Y|^2 + 2 <S, Omega_11> + <D, H'SS'H>.  Read from Omega_11 and
+      2 <H, A D> instead, the last term would cancel to rounding noise.
 
     Raises NumericError on an overflowed moment; with ``check=False`` the
     rows that overflow come back non-finite instead, the others as they are.
     With ``one``, the moments of the stack's one row, without its axis.
     """
     pm = model.prepared
-    m, n, k = model.m, model.n, len(h)
-    iu, ju = _upper_pairs(1 + m + m * n)
-    z = np.concatenate([np.ones((k, 1)), h, H.reshape(k, m * n)], axis=1)
-    step = max(1, _PAIRS_AT_ONCE // len(iu))
+    n, k = model.n, len(h)
     # NumPy tests its floating-point flags after every operation anyway; the
     # callback only records an overflow, so finite moments cost no extra pass.
     overflow = []
     with np.errstate(over="call", invalid="call", call=lambda *_: overflow.append(True)):
-        out = np.empty((k, pm.form.shape[1]))
-        for i in range(0, k, step):
-            zi = z[i:i + step]
-            # one vector-matrix product per row, so a row rounds alike in any stack
-            out[i:i + step] = ((zi.take(iu, axis=1) * zi.take(ju, axis=1))[:, None] @ pm.form)[:, 0]
-        o, nn = 2 + m + 2 * n, n * n
-        K, P, Y = out[:, 0], out[:, 2:2 + n], out[:, 2 + n:o]
-        M, Q = out[:, o:o + nn], out[:, o + nn:o + 2 * nn]        # row-major n x n
-        S = out[:, o + 2 * nn:].take(_mirror(n), axis=1).reshape(k, n, n)   # exactly symmetric
+        Hb = np.concatenate([h[:, :, None], H], axis=2)
+        Hbt, T = Hb.transpose(0, 2, 1), pm.SS @ Hb
+        Z = np.concatenate([Hbt @ T, Hbt @ (pm.drift - 0.5 * T), Hb], axis=1)     # [U; Omega; Hb]
+        del Hb, Hbt, T          # Z holds what is needed of them: a large stack's peak memory drops
+        Om11 = Z[:, n + 2:2 * n + 2, 1:]
+        KPY = (Z.reshape(k, 1, pm.linear.shape[0]) @ pm.linear)[:, 0]
+        E = (pm.rhs @ Z[:, n + 2:, 1:]) @ pm.D                  # Z[:, n + 2:, 1:] = [Omega_11; H]
+        Q = E + E.transpose(0, 2, 1)
+        S = (Q.reshape(k, 1, n * n) @ pm.offset).take(pm.mirror, axis=2).reshape(k, n, n)
         # A row whose S still fails its residual check after the refinement step comes
         # back NaN if an overflow, which may first happen inside the check (the norms of
-        # S square it), names the row below; a failure that no overflow explains is the form's.
-        bad = refined_failures(pm.lyapunov, pm.lyapunov_inv, S, Q.reshape(k, n, n), pm.B_norm)[0]
+        # S square it), names the row below; a failure that no overflow explains is the engine's.
+        bad = refined_failures(pm.lyapunov, pm.lyapunov_inv, S, Q, pm.B_norm)[0]
         if bad.any():
             if not overflow:
                 raise NumericError("Lyapunov residual of the offset S exceeds its tolerance")
             S[bad] = np.nan
-        rate = (Y * Y).sum(axis=-1) + (S.reshape(k, nn) * M).sum(axis=-1) + out[:, 1]
+        K, P, Y = KPY[:, 0], KPY[:, 2:n + 2], KPY[:, n + 2:]
+        rate = (Y * Y).sum(axis=-1) + 2.0 * (S * Om11).reshape(k, n * n).sum(axis=-1) + KPY[:, 1]
         if one:
             K, rate, P, Y, S = float(K[0]), float(rate[0]), P[0], Y[0], S[0]
         mom = AsymptoticMoments(K, rate, P, pm.D, Y, S, np.multiply.outer(K, pm.D))

@@ -85,8 +85,8 @@ def test_engine_matches_loop_reference(k, theta):
 
 
 def test_batched_equals_pointwise():
-    # A Strategy is a stack of one row, and every row takes the same
-    # vector-matrix product: it equals its row of any stack bit for bit.
+    # A Strategy is a stack of one row, and every product is batched over
+    # the stack row by row: it equals its row of any stack bit for bit.
     rng = np.random.default_rng(7)
     for model in cases():
         m, n = model.m, model.n
@@ -106,17 +106,40 @@ def test_batched_equals_pointwise():
             assert w == W[i]
 
 
+@pytest.mark.parametrize("m, n", [(6, 6), (8, 8), (2, 8)])
+def test_wide_models_match_reference(m, n):
+    # the n <= 8 models linalg serves: every field to RTOL, and every stack row
+    # bit for bit its single Strategy with an exactly symmetric S
+    for s in range(3):
+        model = random_stable_model(np.random.default_rng(100 + s), m, n)
+        rng = np.random.default_rng(s)
+        h, H = rng.uniform(-2.0, 2.0, (5, m)), rng.uniform(-2.0, 2.0, (5, m, n))
+        stack = moments(model, (h, H))
+        for i in range(5):
+            want = reference(model, h[i], H[i], 0.0, np.zeros(n))[:5]
+            got = (stack.growth_rate[i], stack.variance_rate[i], stack.wealth_factor_cov[i],
+                   stack.shock_loading[i], stack.second_moment_offset[i])
+            for g, r in zip(got, want):
+                assert_allclose(g, r, rtol=RTOL)
+            one = moments(model, Strategy(h=h[i], H=H[i]))
+            for name, value in vars(one).items():
+                row = stack.factor_cov if name == "factor_cov" else getattr(stack, name)[i]
+                assert np.array_equal(value, row), name
+            assert np.array_equal(one.second_moment_offset, one.second_moment_offset.T)
+
+
 def test_prepared_model_is_read_only_and_cached():
     model = random_stable_model(np.random.default_rng(3), 2, 2)
     pm = model.prepared
     assert model.prepared is pm
-    for arr in (pm.D, pm.SS, pm.B_inv, pm.K, pm.G0, pm.form, pm.lyapunov, pm.lyapunov_inv):
+    constants = (pm.drift, pm.linear, pm.rhs, pm.offset, pm.mirror)
+    for arr in (pm.D, pm.SS, pm.B_inv, pm.K, pm.G0, pm.lyapunov, pm.lyapunov_inv) + constants:
         assert not arr.flags.writeable
     with pytest.raises(ValueError):
         pm.D[0, 0] = 1.0
     assert_allclose(pm.D, scipy.linalg.solve_continuous_lyapunov(model.B, -model.Lambda @ model.Lambda.T),
                     rtol=1e-12)
-    assert pm.form.shape == (7 * 8 // 2, 2 + 2 + 2 * 2 + 3 * 4)     # z has 1 + m + m n = 7 entries
+    assert [arr.shape for arr in constants] == [(2, 3), (24, 8), (2, 4), (4, 3), (2, 2)]
     strat = Strategy(h=[0.3, -0.2], H=[[0.5, 0.1], [-0.4, 0.2]])
     first, again = moments(model, strat), moments(model, strat)
     assert first.growth_rate == again.growth_rate
@@ -125,8 +148,9 @@ def test_prepared_model_is_read_only_and_cached():
 
 
 def test_large_stack_memory_is_bounded():
-    # the pairs p <= q of z z' for 4,096 rows of an 8 x 8 model take 88 MB at
-    # once; the engine forms them a slice of rows at a time
+    # 4,096 rows of an 8 x 8 model: the engine's (k, n, n) and (k, m, 1 + n)
+    # temporaries take about 2 MB each and [U; Omega; Hb] 7.7 MB; the traced
+    # peak is about 22 MB
     model = random_stable_model(np.random.default_rng(3), 8, 8)
     rng = np.random.default_rng(4)
     stack = (rng.uniform(-1.0, 1.0, (4096, 8)), rng.uniform(-1.0, 1.0, (4096, 8, 8)))
@@ -251,8 +275,8 @@ def test_optimum_has_no_h_gradient(theta):
 
 def test_near_undamped_model_offsets_pass_their_check():
     # B has eigenvalues -1e-10 +- i, so L is ill-conditioned and an offset summed
-    # from the form's columns cancels: rows of this box fail the residual check
-    # at first, and pass after the one refinement step.
+    # from vec(Q) times the columns of L^-T cancels: rows of this box fail the
+    # residual check at first, and pass after the one refinement step.
     model = validate_model(a=[0.01], A=[[0.01, 0.0]], B=[[-1e-10, 1.0], [-1.0, -1e-10]],
                            Sigma=[[0.05, 0.0, 0.0]], Lambda=[[0.0, 0.5, 0.0], [0.0, 0.0, 0.5]])
     grid = np.linspace(-3.0, 3.0, 61)

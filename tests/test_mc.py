@@ -523,8 +523,8 @@ def test_overflowing_summary_raises_without_warning(model, h, dt, message):
 
 def test_slab_memory_peak():
     # two blocks of 300 steps: the traced peak is each running block's working
-    # set, 3.7 MB at 3x2 with slabs of 16 steps (8.1 MB with 32 and fresh
-    # arrays every slab, 46 MB with 256)
+    # set, 3.6 MB at 3x2 with slabs of 16 steps under draw contract v3 (8.1 MB
+    # with 32 and fresh arrays every slab, 46 MB with 256, under earlier ones)
     model = random_stable_model(np.random.default_rng(7), 3, 2)
     strategy = Strategy(h=np.array([0.4, -0.2, 0.3]), H=np.full((3, 2), 0.1))
     cfg = SimConfig(dt=0.1, horizon=30.0, paths=2 * BLOCK, seed=1)
