@@ -8,28 +8,29 @@ with the theta coefficient exactly theta/4.  W is quartic and nonconvex in
 (h, H) jointly, but for fixed H a concave quadratic in h: the Lyapunov
 offset of the variance rate depends on H only, and the shock loading
 Y = G h + y0 is affine in h.  So the optimizer scans the m*n entries of H
-alone, refines the best local_restarts scan points by BFGS, and solves for
-h at each point.  The whole scan (a grid_points^(m n) mesh when m n <= 2,
-else a 4,096-point Latin hypercube) is h-solved and scored in one call of
-the batched moment engine (:mod:`longrun.moments`).  W is a quartic
-polynomial in (h, H), so a 5-point central difference is its exact gradient
-up to rounding, and so are its second differences.  One BFGS ascent carries
-every start: its first step is the Newton step of the diagonal of second
-differences along H where all are negative, else a gradient step of length
-min(1, |g|); each round scores the trial points of all starts still running,
-with their gradients, in one engine call.  A trial is kept if it passes the
-Armijo test, else its step is halved.  A start stops when its largest
-|gradient| entry is at most 1e-9, after max_iterations kept steps, or when
-the gain its step predicts falls below the rounding of W.  The stationarity
-test takes one more engine call.
+alone, refines the best local_restarts scan points by Newton steps on
+W*(H) = max_h W(h, H), and solves for h at each point.  The whole scan (a
+grid_points^(m n) mesh when m n <= 2, else a 4,096-point Latin hypercube)
+is h-solved and scored in one call of the batched moment engine
+(:mod:`longrun.moments`).  W's gradient over (h, H) is the engine's products
+run backwards; at h = h*(H) its h part vanishes, so its H part is W*'s exact
+gradient, and central differences of that at H +- 1e-3 (1 + |H_j|) e_j, h
+re-solved at each, are W*'s Hessian.  Each round scores the trial points of
+all starts still running, 1 + 2 m n rows each, in one engine call.  A start
+takes the Newton step of its Hessian with every eigenvalue made negative
+(its absolute value); a trial is kept if it passes the Armijo test, else
+its step is halved.  A start stops when its largest |gradient| entry is at
+most 1e-9, after max_iterations kept steps, when the gain its step predicts
+falls below the rounding of W, or when its step no longer changes its
+point.  The stationarity test takes one more engine call, a row per point.
 
 A sweep optimizes each of its points independently, but scores them
 together: the scans go to the engine in slices of whole points, at most
 4,096 rows a call (one call for a 13-point sweep over a 61-point mesh), one
-BFGS ascent carries every point's starts (h* solved for all of them at
+Newton ascent carries every point's starts (h* solved for all of them at
 once), and one call runs every point's stationarity test, each row scored
 under its own point's theta and gamma alone.  So a 13-point sweep makes about
-as many engine calls as one optimize (8 each on the calibrated model), and
+as many engine calls as one optimize (7 and 6 on the calibrated model), and
 each point's result is bit for bit what optimize returns there.
 A point whose W has no maximum is flagged before any scoring.
 
@@ -77,13 +78,12 @@ __all__ = [
 # point's criterion, so the scan's memory stays flat in the number of points.
 _FULL_GRID_MAX_DIM = 2
 _SCAN_BUDGET = 4096
-# The stencil is exact for a quartic at any step (relative to 1 + |x|); a
-# large one keeps the rounding error small.
-_STENCIL_STEP = 1e-3
+# The step (relative to 1 + |H_j|) of the central differences of W*'s gradient
+# that give its Hessian; a large one keeps the rounding error small.
+_HESSIAN_STEP = 1e-3
 _STATIONARITY_NORM = 1e-6
 _GTOL = 1e-3 * _STATIONARITY_NORM   # per H partial: restarts at one optimum agree well below 1e-6
 _ARMIJO = 1e-4              # share of the predicted gain a kept step must reach
-_SHIFTS = np.array([2.0, 1.0, -1.0, -2.0])   # the stencil's steps, in row order
 _EPS = np.finfo(float).eps
 
 
@@ -103,7 +103,7 @@ class OptimizerConfig:
     ``grid_points`` only sets the mesh resolution per axis, used when
     m*n <= 2; ``seed`` (any integer, modulo 2**64) only seeds the Latin
     hypercube used above that.  The best ``local_restarts`` scan points start
-    one batched BFGS ascent, where each start keeps at most ``max_iterations``
+    one batched Newton ascent, where each start keeps at most ``max_iterations``
     steps.  ``simplex_tolerance`` only sets the relative tolerance within
     which refined values tie (see :func:`optimize`).
     """
@@ -142,7 +142,8 @@ class OptimizationResult:
     value flags the point rather than raising.  ``restarts`` holds the
     (point, value) pair of every local refinement, in start order.
     ``evaluations`` counts every strategy scored: scan points, the points
-    of every BFGS round and those of the stationarity test.
+    of every Newton round, each with its 2 m n shifted points, and the one
+    point of the stationarity test.
     """
 
     strategy: Strategy
@@ -287,65 +288,53 @@ def _unbounded(direction: np.ndarray, reason: str):
     )
 
 
-def _stencil(score, x: np.ndarray, coords, curvature: bool = False) -> tuple:
-    """W at ``x``, its 5-point gradient along ``coords`` and, with ``curvature``, its second differences.
+def _gradient(model: FactorModel, h: np.ndarray, H: np.ndarray, mom: AsymptoticMoments,
+              theta: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """dW/d[h H] (k, m, 1+n) of a stack with checked moments ``mom``, row i under criterion i.
 
-    ``x`` is one point (dim,) or a stack of r points (r, dim).  ``score`` maps
-    a (k, dim) stack to (k,) values; one call scores r (1 + 4 len(coords)) rows.
+    The engine's products run backwards (:func:`~longrun.moments._engine`): K, P and Y are linear in
+    Z = [U; Omega; Hb], and <S, Omega_11> takes the adjoint R = sym(Omega_11) L^-1 back through Q.
     """
-    X = x if x.ndim == 2 else x[None]
-    steps = _STENCIL_STEP * (1.0 + np.abs(X[:, coords]))
-    E = np.eye(X.shape[1])[coords] * steps[..., None]
-    shifted = X[:, None] + np.multiply.outer(_SHIFTS, E)
-    f = score(np.concatenate([X, shifted.reshape(-1, X.shape[1])]))
-    f0, (p2, p1, m1, m2) = f[:len(X)], f[len(X):].reshape(4, len(X), -1)
-    out = [f0, (8.0 * (p1 - m1) - (p2 - m2)) / (12.0 * steps)]
-    if curvature:
-        out.append((16.0 * (p1 + m1) - (p2 + m2) - 30.0 * f0[:, None]) / (12.0 * steps * steps))
-    return tuple(v[0] for v in out) if x.ndim == 1 else tuple(out)
+    pm, n, k = model.prepared, model.n, len(h)
+    Hb = np.concatenate([h[:, :, None], H], axis=2)
+    T = pm.SS @ Hb
+    Om11 = H.transpose(0, 2, 1) @ (model.A - 0.5 * T[:, :, 1:])
+    t = theta[:, None]
+    c = np.concatenate([np.ones_like(t), -0.25 * t, gamma, -0.5 * t * mom.shock_loading], axis=1)
+    G = (c[:, None] @ pm.linear.T).reshape(k, -1, 1 + n)       # dW/dZ through K, P and Y
+    M = -0.25 * t[:, :, None] * (Om11 + Om11.transpose(0, 2, 1))   # dW/dS, symmetric as S is
+    R = (M.reshape(k, 1, n * n) @ pm.lyapunov_inv.T).reshape(k, n, n)
+    G[:, n + 2:, 1:] += pm.rhs.T @ (R + R.transpose(0, 2, 1)) @ pm.D    # back through Q = E + E'
+    G[:, n + 2:2 * n + 2, 1:] -= 0.5 * t[:, :, None] * mom.second_moment_offset
+    GO = G[:, n + 1:2 * n + 2]
+    GU = G[:, :n + 1] - 0.5 * GO                # Omega = Hb'[a A] - U/2
+    return G[:, 2 * n + 2:] + T @ (GU + GU.transpose(0, 2, 1)) + pm.drift @ GO.transpose(0, 2, 1)
 
 
 def _refine(objective, starts: np.ndarray, max_iterations: int) -> tuple:
-    """BFGS ascent from every row of ``starts`` at once, by the rules of the module docstring.
+    """Newton ascent from every row of ``starts`` at once, by the rules of the module docstring.
 
-    ``objective(X, i, curvature=False)`` maps a stack of points, the current
-    points of the starts ``i``, to their values and gradients, and with
-    ``curvature`` also their second differences (:func:`_stencil`).
+    ``objective(X, i)`` maps a stack of points, the current points of the
+    starts ``i``, to their values, gradients and Hessians.
     """
     X = starts.copy()
-    W, G, C = objective(X, np.arange(len(X)), True)
-    eye = np.eye(X.shape[1])
-    # the first steps of the module docstring; a start not concave scales its inverse Hessian later
-    concave = (C < 0.0).all(axis=1)
-    inv_hess = eye * (-1.0 / np.where(concave[:, None], C, -1.0))[:, None]
-    alpha = np.where(concave, 1.0, 1.0 / np.maximum(1.0, np.sqrt((G * G).sum(axis=1))))
-    kept = np.zeros(len(X), dtype=int)
-    fresh = ~concave
+    W, G, C = objective(X, np.arange(len(X)))
+    alpha, kept = np.ones(len(X)), np.zeros(len(X), dtype=int)
     while True:
-        P = (inv_hess @ G[:, :, None])[:, :, 0]
-        gain = alpha * (G * P).sum(axis=1)
-        i = ((np.abs(G).max(axis=1) > _GTOL) & (kept < max_iterations)
-             & (gain > _EPS * np.abs(W))).nonzero()[0]
+        lam, V = np.linalg.eigh(C)
+        lam = np.maximum(np.abs(lam), _EPS * np.abs(lam).max(axis=1, keepdims=True))
+        step = alpha[:, None] * (V @ ((G[:, None] @ V).swapaxes(1, 2) / lam[:, :, None]))[:, :, 0]
+        gain = (G * step).sum(axis=1)
+        i = ((np.abs(G).max(axis=1) > _GTOL) & (kept < max_iterations) & (gain > _EPS * np.abs(W))
+             & (np.abs(step) > _EPS * np.abs(X)).any(axis=1)).nonzero()[0]
         if i.size == 0:
             return X, W
-        trial = X[i] + alpha[i, None] * P[i]
-        w, g = objective(trial, i)
+        trial = X[i] + step[i]
+        w, g, c = objective(trial, i)
         ok = w >= W[i] + _ARMIJO * gain[i]
-        if not ok.all():
-            alpha[i[~ok]] *= 0.5
-            i, trial, w, g = i[ok], trial[ok], w[ok], g[ok]
-        s, y = trial - X[i], G[i] - g          # y is the change in the gradient of -W
-        X[i], W[i], G[i], kept[i] = trial, w, g, kept[i] + 1
-        sy = (s * y).sum(axis=1)
-        curved = sy > 0.0
-        if not curved.all():
-            i, s, y, sy = i[curved], s[curved], y[curved], sy[curved]
-        scale = np.where(fresh[i], sy / (y * y).sum(axis=1), 1.0)[:, None, None]
-        fresh[i] = False
-        rs = (s / sy[:, None])[:, :, None]
-        V = eye - rs * y[:, None, :]
-        inv_hess[i] = V @ (scale * inv_hess[i]) @ V.swapaxes(1, 2) + rs * s[:, None, :]
-        alpha[i] = 1.0
+        alpha[i[~ok]] *= 0.5
+        i = i[ok]
+        X[i], W[i], G[i], C[i], kept[i], alpha[i] = trial[ok], w[ok], g[ok], c[ok], kept[i] + 1, 1.0
 
 
 def _optimize(model: FactorModel, params: list, config: OptimizerConfig) -> list:
@@ -355,13 +344,13 @@ def _optimize(model: FactorModel, params: list, config: OptimizerConfig) -> list
     :class:`UnboundedCriterionError` it raised, or a
     :class:`~longrun.linalg.NumericError` when h* or W overflows at every
     scan row (a row that overflows is dropped from the scan, without a
-    warning).  The points are optimized
-    independently but scored together: the scans in engine calls of whole
-    points, at most ``_SCAN_BUDGET`` rows each where a point fits, one BFGS
-    ascent for every point's starts, and one call for every point's
-    stationarity test.  A scored row is (h, vec H, theta, gamma, p), scored
-    under its own criterion (theta, gamma), that of point p; the stencil's
-    shifted rows keep it.
+    warning).  The points are optimized independently but scored together:
+    the scans in engine calls of whole points, at most ``_SCAN_BUDGET`` rows
+    each where a point fits, one Newton ascent for every point's starts, and
+    one call for every point's stationarity test, which judges the exact
+    gradient over (h, H) at its chosen row.  A scored row is
+    (h, vec H, theta, gamma, p), scored under its own criterion (theta, gamma),
+    that of point p; the shifted rows of the Hessian keep it.
     """
     m, n, d = model.m, model.n, model.m * (1 + model.n)
     _criteria(model, (), params[0])     # a wrong-length gamma raises before an indefinite SS'
@@ -388,13 +377,10 @@ def _optimize(model: FactorModel, params: list, config: OptimizerConfig) -> list
     h_star = _h_solver(model)
     evaluations = np.zeros(len(live), dtype=int)
 
-    def score(X, drop=False):
-        """W at each row of X, under the row's criterion.
+    def scan(X):
+        """W at each scan row of X, under the row's criterion; a row whose h* or W is not finite scores -inf.
 
-        A row whose h* or W is not finite raises NumericError; with ``drop``
-        (the scan) it scores -inf instead, so it never starts an ascent.
-        Rows are scored by :func:`evaluate`, which raises on an overflow for
-        the whole stack; only then is a scan slice scored again unchecked.
+        :func:`evaluate` raises on an overflow for the whole stack; only then is the slice scored unchecked.
         """
         evaluations[:] += np.bincount(X[:, -1].astype(int), minlength=len(live))
         if np.isfinite(X).all():
@@ -402,18 +388,24 @@ def _optimize(model: FactorModel, params: list, config: OptimizerConfig) -> list
                 return evaluate(model, (X[:, :m], X[:, m:d].reshape(-1, m, n)),
                                 (X[:, d], X[:, d + 1:-1]))
             except NumericError:
-                if not drop:
-                    raise
-        elif not drop:
-            raise NumericError("h* overflows at a point of the ascent")
+                pass
         finite = np.isfinite(X).all(axis=1)
-        rows = X[finite]                # the scan scores the rows it can, each on its own
+        rows = X[finite]                # the rows it can, each on its own
         with np.errstate(over="ignore", invalid="ignore"):
             mom = _engine(model, rows[:, :m], rows[:, m:d].reshape(-1, m, n), check=False)
             w = _values(mom, rows[:, d], rows[:, d + 1:-1])
         out = np.full(len(X), -np.inf)
         out[finite] = np.where(np.isfinite(w), w, -np.inf)
         return out
+
+    def score(X):
+        """W and its gradient dW/d[h H] at each row of X, under the row's criterion; raises on overflow."""
+        evaluations[:] += np.bincount(X[:, -1].astype(int), minlength=len(live))
+        if not np.isfinite(X).all():
+            raise NumericError("h* overflows at a point of the ascent")
+        h, H, theta, gamma = X[:, :m], X[:, m:d].reshape(-1, m, n), X[:, d], X[:, d + 1:-1]
+        mom = moments(model, (h, H))
+        return _values(mom, theta, gamma), _gradient(model, h, H, mom, theta, gamma)
 
     def full(Hx, T):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -423,7 +415,7 @@ def _optimize(model: FactorModel, params: list, config: OptimizerConfig) -> list
     points = _scan_points(config, m * n)
     step = max(1, _SCAN_BUDGET // len(points))      # whole points per engine call
     values = np.vstack([
-        score(full(np.tile(points, (len(p), 1)), terms[p.repeat(len(points))]), drop=True)
+        scan(full(np.tile(points, (len(p), 1)), terms[p.repeat(len(points))]))
         .reshape(len(p), -1)
         for p in np.split(np.arange(len(live)), np.arange(step, len(live), step))])
     # every point starts from its best finite scan rows
@@ -433,10 +425,17 @@ def _optimize(model: FactorModel, params: list, config: OptimizerConfig) -> list
     start_terms = terms[np.arange(len(live)).repeat(counts)]    # gathered once per ascent
     first = np.concatenate([[0], np.cumsum(counts)])
 
-    def objective(Hx, i, curvature=False):
-        # Envelope theorem: at h = h*(H), dW/dh = 0, so the partial gradient
-        # along H is the exact gradient of W*(H) = max_h W(h, H).
-        return _stencil(score, full(Hx, start_terms[i]), np.arange(m, d), curvature)
+    def objective(Hx, i):
+        # Envelope theorem: at h = h*(H), dW/dh = 0, so the gradient along H is that of
+        # W*(H) = max_h W(h, H); its differences, h re-solved at each H, are W*'s Hessian.
+        r, q = Hx.shape
+        steps = _HESSIAN_STEP * (1.0 + np.abs(Hx))
+        shifted = Hx + np.multiply.outer([1.0, -1.0], np.eye(q)[:, None] * steps)    # (sign, j, start, q)
+        w, g = score(full(np.concatenate([Hx, shifted.reshape(-1, q)]), start_terms[np.tile(i, 1 + 2 * q)]))
+        g = g[:, :, 1:].reshape(len(g), q)
+        gp, gm = g[r:].reshape(2, q, r, q)
+        C = (gp - gm).swapaxes(0, 1) / (2.0 * steps[..., None])
+        return w[:r], g[:r], 0.5 * (C + C.swapaxes(1, 2))
 
     results = [NumericError("h* or W overflows at every scan point: no finite start")
                if c == 0 else None for c in counts]
@@ -450,14 +449,12 @@ def _optimize(model: FactorModel, params: list, config: OptimizerConfig) -> list
             best_w = float(W[rows].max())
             tied = [k for k in rows if W[k] >= best_w - config.simplex_tolerance * (1.0 + abs(best_w))]
             chosen.append(min(tied, key=lambda k: (np.linalg.norm(X[k, :d]), tuple(X[k, :d]))))
-        grads = _stencil(score, X[chosen], np.arange(d))[1]
-        for j, k, g in zip(found, chosen, grads):
+        norms = np.linalg.norm(score(X[chosen])[1], axis=(1, 2))     # the stationarity test
+        for j, k, g_norm in zip(found, chosen, norms.tolist()):
             x_star, w_star = X[k, :d], float(W[k])
-            g_norm = float(np.linalg.norm(g))
             stationary = g_norm <= _STATIONARITY_NORM * (1.0 + abs(w_star))
-            message = "converged" if stationary else (
-                f"gradient norm {g_norm:.3e} exceeds the stationarity tolerance"
-            )
+            message = ("converged" if stationary
+                       else f"gradient norm {g_norm:.3e} exceeds the stationarity tolerance")
             results[j] = OptimizationResult(
                 strategy=Strategy(h=x_star[:m], H=x_star[m:].reshape(m, n)),
                 value=w_star,
@@ -476,10 +473,13 @@ def optimize(model: FactorModel, params: CriterionParams,
     """Maximize the criterion over (h, H).
 
     Scan over H, then refine the best ``local_restarts`` scan points by one
-    batched BFGS ascent over H; every point takes the maximizing h for its H.
-    A start stops at a largest |gradient| entry of 1e-9, after
-    ``config.max_iterations`` kept steps, or when the gain its step predicts
-    falls below the rounding of W.  Raises,
+    batched Newton ascent on W*(H) = max_h W(h, H), from its closed-form
+    gradient and the Hessian of its central differences; every point takes
+    the maximizing h for its H.  A start stops at a largest |gradient| entry
+    of 1e-9, after ``config.max_iterations`` kept steps, when the gain its
+    step predicts falls below the rounding of W, or when its step no longer
+    changes its point.  ``stationary`` judges the exact gradient over all of
+    (h, H).  Raises,
     before scoring a strategy, :class:`UnboundedCriterionError` when W has
     no maximum (see the module docstring), :class:`~longrun.model.ModelValidationError`
     when Sigma Sigma' is not positive definite, and :class:`~longrun.linalg.DimensionError`

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from longrun import FactorModel, Strategy, reference_model
+from longrun import FactorModel, Strategy, evaluate, reference_model
 
 # pytest puts src/ on its own path (pyproject.toml); the console-script test
 # starts a fresh interpreter, which needs it too.
@@ -56,3 +56,17 @@ def degenerate_model(m: int = 2, n: int = 2) -> FactorModel:
     Sigma = base.Sigma.copy()
     Sigma[1] = 0.5 * Sigma[0]
     return dataclasses.replace(base, Sigma=Sigma)
+
+
+def stencil_gradient(model: FactorModel, params, x: np.ndarray, step: float = 1e-3) -> np.ndarray:
+    """The 5-point central-difference gradient of W at ``x = (h, vec H)``, from one ``evaluate`` call.
+
+    W is quartic in (h, H), so the stencil has no truncation error: at any
+    step (relative to 1 + |x_i|) it is the exact gradient up to rounding.
+    """
+    m, n = model.m, model.n
+    steps = step * (1.0 + np.abs(x))
+    E = np.eye(x.size) * steps[:, None]
+    X = np.concatenate([x + 2.0 * E, x + E, x - E, x - 2.0 * E])
+    p2, p1, m1, m2 = evaluate(model, (X[:, :m], X[:, m:].reshape(-1, m, n)), params).reshape(4, x.size)
+    return (8.0 * (p1 - m1) - (p2 - m2)) / (12.0 * steps)

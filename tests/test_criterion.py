@@ -333,7 +333,7 @@ def test_singular_diffusion_rejected_before_scoring(monkeypatch, name, theta):
     # optimize takes only the markets validate_model accepts
     model = SINGULAR_DIFFUSION[name]()
     calls = []
-    monkeypatch.setattr(criterion, "evaluate", lambda *args: calls.append(args))
+    monkeypatch.setattr(criterion, "moments", lambda *args: calls.append(args))
     prm = CriterionParams(theta=theta, gamma=np.zeros(model.n))
     with pytest.raises(ModelValidationError, match="Sigma Sigma' is not positive definite"):
         optimize(model, prm, QUICK)

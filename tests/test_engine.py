@@ -16,7 +16,7 @@ from numpy.testing import assert_allclose
 
 import longrun.criterion as criterion
 import longrun.linalg as linalg
-from conftest import degenerate_model, random_stable_model, scalar_strategy
+from conftest import degenerate_model, random_stable_model, scalar_strategy, stencil_gradient
 from longrun import (
     CriterionParams,
     DimensionError,
@@ -217,47 +217,41 @@ def test_strategy_shape_checked():
 
 def test_evaluations_count_every_strategy_scored(monkeypatch):
     scored = []
-    original = criterion.evaluate
+    original = criterion.moments
 
-    def counting(model, strategy, params, factor_cov=None):
+    def counting(model, strategy):
         scored.append(1 if isinstance(strategy, Strategy) else len(strategy[0]))
-        return original(model, strategy, params, factor_cov)
+        return original(model, strategy)
 
-    monkeypatch.setattr(criterion, "evaluate", counting)
+    monkeypatch.setattr(criterion, "moments", counting)
     res = optimize(reference_model(), CriterionParams(theta=1.0, gamma=[0.0]),
                    OptimizerConfig(grid_points=31, local_restarts=3))
     assert res.evaluations == sum(scored)
     assert max(scored) == 31                      # the whole scan in one call
 
 
-def _scorer(model, prm):
+def _gradient(model, prm, x):
+    """``criterion._gradient`` at one point x = (h, vec H), flattened as x is."""
     m, n = model.m, model.n
-    return lambda X: evaluate(model, (X[:, :m], X[:, m:].reshape(-1, m, n)), prm)
+    h, H = x[None, :m], x[None, m:].reshape(1, m, n)
+    g = criterion._gradient(model, h, H, moments(model, (h, H)), np.array([prm.theta]), prm.gamma[None])[0]
+    return np.concatenate([g[:, 0], g[:, 1:].ravel()])
 
 
-def test_stencil_gradient_is_exact(monkeypatch):
+def test_stencil_gradient_is_exact():
     # W is quartic in (h, H), so the 5-point stencil has no truncation error:
-    # a tenfold step gives the same gradient and second differences up to rounding.
+    # a tenfold step gives the same gradient up to rounding.  The closed-form
+    # gradient, the engine's products run backwards, matches it.
     rng = np.random.default_rng(31)
     models = [random_stable_model(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
-              for _ in range(12)]
+              for _ in range(30)]
     for i, model in enumerate(models + [degenerate_model()]):
-        prm = CriterionParams(theta=(0.0, 0.5, 4.0)[i % 3],
+        prm = CriterionParams(theta=float(rng.uniform(0.0, 4.0)) if i % 3 else 0.0,
                               gamma=rng.normal(scale=0.3, size=model.n) + 0.1)
-        calls = []
-        score = _scorer(model, prm)
         x = rng.uniform(-2.0, 2.0, model.m * (1 + model.n))
-        coords = np.arange(x.size)
-        grads, curvatures = [], []
-        for step in (0.1, 1.0):
-            monkeypatch.setattr(criterion, "_STENCIL_STEP", step)
-            w, g, c = criterion._stencil(lambda X: calls.append(len(X)) or score(X), x, coords, True)
-            assert_allclose(w, score(x[None])[0], rtol=RTOL)
-            grads.append(g)
-            curvatures.append(c)
-        assert calls == [1 + 4 * x.size] * 2
-        assert np.linalg.norm(grads[1] - grads[0]) <= 1e-9 * np.linalg.norm(grads[0])
-        assert np.linalg.norm(curvatures[1] - curvatures[0]) <= 1e-9 * np.linalg.norm(curvatures[0])
+        g, g10 = (stencil_gradient(model, prm, x, step) for step in (0.1, 1.0))
+        assert np.linalg.norm(g10 - g) <= 1e-9 * np.linalg.norm(g)
+        assert np.linalg.norm(_gradient(model, prm, x) - g) <= 1e-10 * np.linalg.norm(g)
 
 
 @pytest.mark.parametrize("theta", [0.5, 4.0])
@@ -268,7 +262,7 @@ def test_optimum_has_no_h_gradient(theta):
         prm = CriterionParams(theta=theta, gamma=np.full(model.n, 0.05))
         res = optimize(model, prm, OptimizerConfig(grid_points=15, local_restarts=2))
         x = np.concatenate([res.strategy.h, res.strategy.H.ravel()])
-        _, g = criterion._stencil(_scorer(model, prm), x, np.arange(model.m))
+        g = stencil_gradient(model, prm, x)[:model.m]
         assert res.stationary, res.message
         assert np.linalg.norm(g) <= criterion._STATIONARITY_NORM * (1.0 + abs(res.value))
 

@@ -1,4 +1,4 @@
-"""The batched BFGS refine of optimize: exact 1x1 certificates, batch independence, engine calls.
+"""The batched Newton refine of optimize: exact 1x1 certificates, batch independence, engine calls.
 
 A sweep scores all its points together, yet each point must come out as
 :func:`~longrun.optimize` returns it alone, to the last bit.
@@ -23,12 +23,14 @@ from longrun import (
     OptimizerConfig,
     UnboundedCriterionError,
     evaluate,
+    moments,
     optimize,
     reference_estimates,
     reference_model,
     report_from_estimates,
     sweep_gamma,
     sweep_theta,
+    validate_model,
 )
 
 QUICK = OptimizerConfig(grid_points=31, local_restarts=3)
@@ -73,34 +75,49 @@ def test_one_by_one_optimum_is_the_best_real_critical_point(seed):
         assert abs(res.strategy.H[0, 0] - H_cert) <= 1e-5 * (1.0 + abs(H_cert))
 
 
+def _counting_engine_calls(monkeypatch) -> list:
+    """A list that gains an entry at every engine call of the optimizer: scan, refine rounds, stationarity."""
+    calls = []
+    original = criterion.moments
+    monkeypatch.setattr(criterion, "moments", lambda *args: calls.append(1) or original(*args))
+    return calls
+
+
 def test_engine_calls_per_optimize(monkeypatch):
     # one scan call, the refine rounds and one stationarity call
-    calls = []
-    original = criterion.evaluate
-    monkeypatch.setattr(criterion, "evaluate", lambda *args: calls.append(1) or original(*args))
+    calls = _counting_engine_calls(monkeypatch)
     optimize(reference_model(), CriterionParams(theta=1.0, gamma=np.zeros(1)))
-    assert len(calls) <= 8
+    assert len(calls) <= 7
     calls.clear()
     model = random_stable_model(np.random.default_rng(0), 3, 2)
     optimize(model, CriterionParams(theta=1.0, gamma=np.zeros(2)),
              OptimizerConfig(local_restarts=2, max_iterations=500))
-    assert len(calls) <= 20
+    assert len(calls) <= 8
+
+
+def test_near_undamped_optimize_stays_within_its_budget(monkeypatch):
+    # B's eigenvalues are -1e-10 +- i, so W*(H) is extremely steep in H; an
+    # ascent that kept accepting steps at the rounding of x would run on
+    calls = _counting_engine_calls(monkeypatch)
+    model = validate_model(a=[0.01], A=[[0.01, 0.0]], B=[[-1e-10, 1.0], [-1.0, -1e-10]],
+                           Sigma=[[0.05, 0.0, 0.0]], Lambda=[[0.0, 0.5, 0.0], [0.0, 0.0, 0.5]])
+    res = optimize(model, CriterionParams(theta=1.0, gamma=np.zeros(2)))
+    assert len(calls) <= 100
+    assert res.value >= 0.01328903664479254
 
 
 def test_a_start_concave_on_every_axis_keeps_its_first_step():
-    # the stencil's second differences of a concave quadratic are exact up to
-    # rounding, so each start's first trial is the Newton step onto the maximum
+    # on a concave quadratic each start's first trial is the Newton step onto the maximum
     curvature = np.array([4.0, 0.25])
     trials = []
 
-    def objective(X, i, second=False):
+    def objective(X, i):
         trials.append(X.copy())
-        return criterion._stencil(lambda Y: -0.5 * (Y * Y) @ curvature, X, np.arange(2), second)
+        return -0.5 * (X * X) @ curvature, -X * curvature, np.tile(-np.diag(curvature), (len(X), 1, 1))
 
     X, W = criterion._refine(objective, np.array([[1.0, -2.0], [-3.0, 0.5]]), 100)
-    # kept: a halved first step would put a later trial half way, not at the maximum
-    assert len(trials) >= 2 and np.abs(np.concatenate(trials[1:])).max() <= 1e-8
-    assert np.abs(X).max() <= 1e-8 and np.all(W >= -1e-15)
+    assert len(trials) == 2 and np.abs(trials[1]).max() <= 1e-15
+    assert np.abs(X).max() <= 1e-15 and np.all(W >= -1e-30)
 
 
 @pytest.mark.parametrize("case", ["reference", "2x2", "3x2"])
@@ -189,6 +206,40 @@ def test_random_model_sweeps_match_optimize_alone(seed):
                             lambda g: CriterionParams(theta=1.0, gamma=g * e), QUICK)
 
 
+def _polished_root(model, params, x):
+    """The root of the exact gradient of W near x = (h, H) of a 1x1 model, by secant steps.
+
+    Each step solves with the secant slopes of ``criterion._gradient`` across
+    x +- 1e-6 (1 + |x|); the polish stops when the gradient no longer falls.
+    """
+    def gradient(X):
+        h, H = X[:, :1], X[:, 1:].reshape(-1, 1, 1)
+        return criterion._gradient(model, h, H, moments(model, (h, H)), np.full(len(X), params.theta),
+                                   np.tile(params.gamma, (len(X), 1))).reshape(len(X), 2)
+
+    g = gradient(x[None])[0]
+    while True:
+        steps = 1e-6 * (1.0 + np.abs(x))
+        up, down = gradient(np.concatenate([x + np.diag(steps), x - np.diag(steps)])).reshape(2, 2, 2)
+        trial = x - np.linalg.solve((up - down).T / (2.0 * steps), g)
+        g_trial = gradient(trial[None])[0]
+        if np.abs(g_trial).max() >= np.abs(g).max():
+            assert np.abs(g).max() <= 1e-15
+            return x
+        x, g = trial, g_trial
+
+
+def test_default_theta_sweep_is_fixed_to_rounding():
+    # W* flattens as theta grows, so an absolute gradient bound alone would fix
+    # the optimum only to about 1e-8 relative at theta near 10
+    model = _calibrated()
+    sweep = sweep_theta(model, THETA_GRID)
+    for theta, h, H in zip(THETA_GRID, sweep.h_star[:, 0], sweep.H_star[:, 0, 0]):
+        x = np.array([h, H])
+        root = _polished_root(model, CriterionParams(theta=theta, gamma=np.zeros(1)), x)
+        assert np.all(np.abs(x - root) <= 1e-11 * np.abs(root)), (theta, x, root)
+
+
 def test_sweep_flags_an_unbounded_middle_point_and_warns_once():
     # theta = 0: gamma = 0 warns, gamma = 0.05 has no maximum, gamma = 0.001 is bounded
     model = _calibrated()
@@ -202,9 +253,7 @@ def test_sweep_flags_an_unbounded_middle_point_and_warns_once():
 
 def test_engine_calls_per_sweep(monkeypatch):
     # one scan call for all points, the refine rounds and one stationarity call
-    calls = []
-    original = criterion.evaluate
-    monkeypatch.setattr(criterion, "evaluate", lambda *args: calls.append(1) or original(*args))
+    calls = _counting_engine_calls(monkeypatch)
     model = _calibrated()
     sweep_theta(model, THETA_GRID)
     assert len(calls) <= 8
