@@ -17,21 +17,23 @@ run backwards; at h = h*(H) its h part vanishes, so its H part is W*'s exact
 gradient, and central differences of that at H +- 1e-3 (1 + |H_j|) e_j, h
 re-solved at each, are W*'s Hessian.  Each round scores the trial points of
 all starts still running, 1 + 2 m n rows each, in one engine call.  A start
-takes the Newton step of its Hessian with every eigenvalue made negative
+takes the Newton step of its Hessian N with every eigenvalue made negative
 (its absolute value); a trial is kept if it passes the Armijo test, else
-its step is halved.  A start stops when its largest |gradient| entry is at
-most 1e-9, after max_iterations kept steps, when the gain its step predicts
-falls below the rounding of W, or when its step no longer changes its
-point.  The stationarity test takes one more engine call, a row per point.
+its step is halved.  A start stops after max_iterations kept steps, when the
+gain its step predicts falls below the rounding of W, or when its step no
+longer changes its point.  It has converged (is stationary) where, at its last
+point, lambda^2 / 2 = g'N^-1 g / 2 (lambda the Newton decrement) is at most the
+rounding of W's three terms, eps times the sum of their absolute values: a
+scale-free test that takes no engine call of its own.
 
 A sweep optimizes each of its points independently, but scores them
 together: the scans go to the engine in slices of whole points, at most
 4,096 rows a call (one call for a 13-point sweep over a 61-point mesh), one
 Newton ascent carries every point's starts (h* solved for all of them at
-once), and one call runs every point's stationarity test, each row scored
-under its own point's theta and gamma alone.  So a 13-point sweep makes about
-as many engine calls as one optimize (7 and 6 on the calibrated model), and
-each point's result is bit for bit what optimize returns there.
+once), each row scored under its own point's theta and gamma alone.  So a
+13-point sweep makes about as many engine calls as one optimize (6 and 5 on
+the calibrated model), and each point's result is bit for bit what optimize
+returns there.
 A point whose W has no maximum is flagged before any scoring.
 
 Unboundedness is decided exactly.  With SS' = Sigma Sigma', D the
@@ -81,8 +83,6 @@ _SCAN_BUDGET = 4096
 # The step (relative to 1 + |H_j|) of the central differences of W*'s gradient
 # that give its Hessian; a large one keeps the rounding error small.
 _HESSIAN_STEP = 1e-3
-_STATIONARITY_NORM = 1e-6
-_GTOL = 1e-3 * _STATIONARITY_NORM   # per H partial: restarts at one optimum agree well below 1e-6
 _ARMIJO = 1e-4              # share of the predicted gain a kept step must reach
 _EPS = np.finfo(float).eps
 
@@ -138,12 +138,13 @@ class OptimizerConfig:
 class OptimizationResult:
     """Outcome of one optimize() call.
 
-    ``stationary`` reports the gradient test over all of (h, H); a False
-    value flags the point rather than raising.  ``restarts`` holds the
+    ``stationary`` reports whether the chosen start's ascent converged (see
+    the module docstring); a False value flags the point rather than raising,
+    and ``message`` names its decrement and W's rounding.  ``gradient_norm``
+    is the norm of W*'s gradient over H at the point.  ``restarts`` holds the
     (point, value) pair of every local refinement, in start order.
-    ``evaluations`` counts every strategy scored: scan points, the points
-    of every Newton round, each with its 2 m n shifted points, and the one
-    point of the stationarity test.
+    ``evaluations`` counts every strategy scored: scan points and the points
+    of every Newton round, each with its 2 m n shifted points.
     """
 
     strategy: Strategy
@@ -315,26 +316,29 @@ def _refine(objective, starts: np.ndarray, max_iterations: int) -> tuple:
     """Newton ascent from every row of ``starts`` at once, by the rules of the module docstring.
 
     ``objective(X, i)`` maps a stack of points, the current points of the
-    starts ``i``, to their values, gradients and Hessians.
+    starts ``i``, to their values, gradients, Hessians and values' rounding.
+    Returns each start's last point, value, gradient, lambda^2 / 2 and rounding.
     """
     X = starts.copy()
-    W, G, C = objective(X, np.arange(len(X)))
+    W, G, C, rho = objective(X, np.arange(len(X)))
     alpha, kept = np.ones(len(X)), np.zeros(len(X), dtype=int)
     while True:
         lam, V = np.linalg.eigh(C)
         lam = np.maximum(np.abs(lam), _EPS * np.abs(lam).max(axis=1, keepdims=True))
-        step = alpha[:, None] * (V @ ((G[:, None] @ V).swapaxes(1, 2) / lam[:, :, None]))[:, :, 0]
-        gain = (G * step).sum(axis=1)
-        i = ((np.abs(G).max(axis=1) > _GTOL) & (kept < max_iterations) & (gain > _EPS * np.abs(W))
+        newton = (V @ ((G[:, None] @ V).swapaxes(1, 2) / lam[:, :, None]))[:, :, 0]
+        decrement = (G * newton).sum(axis=1)                # lambda^2
+        step, gain = alpha[:, None] * newton, alpha * decrement
+        i = ((kept < max_iterations) & (gain > _EPS * np.abs(W))
              & (np.abs(step) > _EPS * np.abs(X)).any(axis=1)).nonzero()[0]
         if i.size == 0:
-            return X, W
+            return X, W, G, 0.5 * decrement, rho
         trial = X[i] + step[i]
-        w, g, c = objective(trial, i)
+        w, g, c, r = objective(trial, i)
         ok = w >= W[i] + _ARMIJO * gain[i]
         alpha[i[~ok]] *= 0.5
         i = i[ok]
-        X[i], W[i], G[i], C[i], kept[i], alpha[i] = trial[ok], w[ok], g[ok], c[ok], kept[i] + 1, 1.0
+        X[i], W[i], G[i], C[i], rho[i] = trial[ok], w[ok], g[ok], c[ok], r[ok]
+        kept[i], alpha[i] = kept[i] + 1, 1.0
 
 
 def _optimize(model: FactorModel, params: list, config: OptimizerConfig) -> list:
@@ -346,11 +350,9 @@ def _optimize(model: FactorModel, params: list, config: OptimizerConfig) -> list
     scan row (a row that overflows is dropped from the scan, without a
     warning).  The points are optimized independently but scored together:
     the scans in engine calls of whole points, at most ``_SCAN_BUDGET`` rows
-    each where a point fits, one Newton ascent for every point's starts, and
-    one call for every point's stationarity test, which judges the exact
-    gradient over (h, H) at its chosen row.  A scored row is
-    (h, vec H, theta, gamma, p), scored under its own criterion (theta, gamma),
-    that of point p; the shifted rows of the Hessian keep it.
+    each where a point fits, and one Newton ascent for every point's starts.
+    A scored row is (h, vec H, theta, gamma, p), scored under its own criterion
+    (theta, gamma), that of point p; the shifted rows of the Hessian keep it.
     """
     m, n, d = model.m, model.n, model.m * (1 + model.n)
     _criteria(model, (), params[0])     # a wrong-length gamma raises before an indefinite SS'
@@ -398,15 +400,6 @@ def _optimize(model: FactorModel, params: list, config: OptimizerConfig) -> list
         out[finite] = np.where(np.isfinite(w), w, -np.inf)
         return out
 
-    def score(X):
-        """W and its gradient dW/d[h H] at each row of X, under the row's criterion; raises on overflow."""
-        evaluations[:] += np.bincount(X[:, -1].astype(int), minlength=len(live))
-        if not np.isfinite(X).all():
-            raise NumericError("h* overflows at a point of the ascent")
-        h, H, theta, gamma = X[:, :m], X[:, m:d].reshape(-1, m, n), X[:, d], X[:, d + 1:-1]
-        mom = moments(model, (h, H))
-        return _values(mom, theta, gamma), _gradient(model, h, H, mom, theta, gamma)
-
     def full(Hx, T):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             h = h_star(Hx.reshape(-1, m, n), T[:, n + m], T[:, :n], T[:, n:n + m])
@@ -431,38 +424,39 @@ def _optimize(model: FactorModel, params: list, config: OptimizerConfig) -> list
         r, q = Hx.shape
         steps = _HESSIAN_STEP * (1.0 + np.abs(Hx))
         shifted = Hx + np.multiply.outer([1.0, -1.0], np.eye(q)[:, None] * steps)    # (sign, j, start, q)
-        w, g = score(full(np.concatenate([Hx, shifted.reshape(-1, q)]), start_terms[np.tile(i, 1 + 2 * q)]))
-        g = g[:, :, 1:].reshape(len(g), q)
+        X = full(np.concatenate([Hx, shifted.reshape(-1, q)]), start_terms[np.tile(i, 1 + 2 * q)])
+        evaluations[:] += np.bincount(X[:, -1].astype(int), minlength=len(live))
+        if not np.isfinite(X).all():
+            raise NumericError("h* overflows at a point of the ascent")
+        h, H, theta, gamma = X[:, :m], X[:, m:d].reshape(-1, m, n), X[:, d], X[:, d + 1:-1]
+        mom = moments(model, (h, H))
+        g = _gradient(model, h, H, mom, theta, gamma)[:, :, 1:].reshape(len(X), q)
         gp, gm = g[r:].reshape(2, q, r, q)
         C = (gp - gm).swapaxes(0, 1) / (2.0 * steps[..., None])
-        return w[:r], g[:r], 0.5 * (C + C.swapaxes(1, 2))
+        K, V = mom.growth_rate[:r], 0.25 * theta[:r] * mom.variance_rate[:r]   # W's terms at Hx
+        P = (mom.wealth_factor_cov[:r] * gamma[:r]).sum(axis=-1)
+        return K - V + P, g[:r], 0.5 * (C + C.swapaxes(1, 2)), _EPS * (np.abs(K) + np.abs(V) + np.abs(P))
 
     results = [NumericError("h* or W overflows at every scan point: no finite start")
                if c == 0 else None for c in counts]
     found = np.flatnonzero(counts)
     if found.size:
-        Hx, W = _refine(objective, starts, config.max_iterations)
-        X = full(Hx, start_terms)
-        chosen = []
+        Hx, W, G, gap, rho = _refine(objective, starts, config.max_iterations)
+        X, converged = full(Hx, start_terms), gap <= rho
         for j in found:
             rows = range(first[j], first[j + 1])
             best_w = float(W[rows].max())
             tied = [k for k in rows if W[k] >= best_w - config.simplex_tolerance * (1.0 + abs(best_w))]
-            chosen.append(min(tied, key=lambda k: (np.linalg.norm(X[k, :d]), tuple(X[k, :d]))))
-        norms = np.linalg.norm(score(X[chosen])[1], axis=(1, 2))     # the stationarity test
-        for j, k, g_norm in zip(found, chosen, norms.tolist()):
-            x_star, w_star = X[k, :d], float(W[k])
-            stationary = g_norm <= _STATIONARITY_NORM * (1.0 + abs(w_star))
-            message = ("converged" if stationary
-                       else f"gradient norm {g_norm:.3e} exceeds the stationarity tolerance")
+            k = min(tied, key=lambda k: (np.linalg.norm(X[k, :d]), tuple(X[k, :d])))
             results[j] = OptimizationResult(
-                strategy=Strategy(h=x_star[:m], H=x_star[m:].reshape(m, n)),
-                value=w_star,
-                stationary=stationary,
-                gradient_norm=g_norm,
-                restarts=tuple((X[i, :d], float(W[i])) for i in range(first[j], first[j + 1])),
+                strategy=Strategy(h=X[k, :m], H=X[k, m:d].reshape(m, n)),
+                value=float(W[k]),
+                stationary=bool(converged[k]),
+                gradient_norm=float(np.linalg.norm(G[k])),
+                restarts=tuple((X[i, :d], float(W[i])) for i in rows),
                 evaluations=int(evaluations[j]),
-                message=message,
+                message="converged" if converged[k] else
+                        f"Newton decrement lambda^2/2 = {gap[k]:.3e} exceeds the rounding of W, {rho[k]:.3e}",
             )
     results = iter(results)
     return [next(results) if out is None else out for out in outcomes]
@@ -475,11 +469,11 @@ def optimize(model: FactorModel, params: CriterionParams,
     Scan over H, then refine the best ``local_restarts`` scan points by one
     batched Newton ascent on W*(H) = max_h W(h, H), from its closed-form
     gradient and the Hessian of its central differences; every point takes
-    the maximizing h for its H.  A start stops at a largest |gradient| entry
-    of 1e-9, after ``config.max_iterations`` kept steps, when the gain its
-    step predicts falls below the rounding of W, or when its step no longer
-    changes its point.  ``stationary`` judges the exact gradient over all of
-    (h, H).  Raises,
+    the maximizing h for its H.  A start stops after ``config.max_iterations``
+    kept steps, when the gain its step predicts falls below the rounding of
+    W, or when its step no longer changes its point.  ``stationary`` reports
+    whether the chosen start converged: at its last point, half its squared
+    Newton decrement is at most the rounding of W's terms.  Raises,
     before scoring a strategy, :class:`UnboundedCriterionError` when W has
     no maximum (see the module docstring), :class:`~longrun.model.ModelValidationError`
     when Sigma Sigma' is not positive definite, and :class:`~longrun.linalg.DimensionError`

@@ -109,6 +109,16 @@ def test_optimize_reference_model(model):
     assert res.strategy.H[0, 0] < 0
 
 
+def test_stationary_judges_convergence_to_rounding(model):
+    # after two kept steps the gradient is about 6e-9 and W is 3e-17 short of its
+    # maximum: an absolute gradient bound passes it, the decrement does not
+    cut = optimize(model, params(theta=1.0), OptimizerConfig(max_iterations=2))
+    assert not cut.stationary and "Newton decrement" in cut.message
+    res = optimize(model, params(theta=1.0), OptimizerConfig(max_iterations=3))
+    assert res.stationary, res.message
+    assert res.value > cut.value
+
+
 def test_optimize_shrinks_with_theta(model):
     lo = optimize(model, params(theta=1.0), QUICK)
     hi = optimize(model, params(theta=10.0), QUICK)

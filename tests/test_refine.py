@@ -76,7 +76,7 @@ def test_one_by_one_optimum_is_the_best_real_critical_point(seed):
 
 
 def _counting_engine_calls(monkeypatch) -> list:
-    """A list that gains an entry at every engine call of the optimizer: scan, refine rounds, stationarity."""
+    """A list that gains an entry at every engine call of the optimizer: the scan and the refine rounds."""
     calls = []
     original = criterion.moments
     monkeypatch.setattr(criterion, "moments", lambda *args: calls.append(1) or original(*args))
@@ -84,15 +84,15 @@ def _counting_engine_calls(monkeypatch) -> list:
 
 
 def test_engine_calls_per_optimize(monkeypatch):
-    # one scan call, the refine rounds and one stationarity call
+    # one scan call and the refine rounds
     calls = _counting_engine_calls(monkeypatch)
     optimize(reference_model(), CriterionParams(theta=1.0, gamma=np.zeros(1)))
-    assert len(calls) <= 7
+    assert len(calls) <= 5
     calls.clear()
     model = random_stable_model(np.random.default_rng(0), 3, 2)
     optimize(model, CriterionParams(theta=1.0, gamma=np.zeros(2)),
              OptimizerConfig(local_restarts=2, max_iterations=500))
-    assert len(calls) <= 8
+    assert len(calls) <= 6
 
 
 def test_near_undamped_optimize_stays_within_its_budget(monkeypatch):
@@ -102,7 +102,8 @@ def test_near_undamped_optimize_stays_within_its_budget(monkeypatch):
     model = validate_model(a=[0.01], A=[[0.01, 0.0]], B=[[-1e-10, 1.0], [-1.0, -1e-10]],
                            Sigma=[[0.05, 0.0, 0.0]], Lambda=[[0.0, 0.5, 0.0], [0.0, 0.0, 0.5]])
     res = optimize(model, CriterionParams(theta=1.0, gamma=np.zeros(2)))
-    assert len(calls) <= 100
+    assert len(calls) <= 55
+    assert res.stationary, res.message
     assert res.value >= 0.01328903664479254
 
 
@@ -113,9 +114,10 @@ def test_a_start_concave_on_every_axis_keeps_its_first_step():
 
     def objective(X, i):
         trials.append(X.copy())
-        return -0.5 * (X * X) @ curvature, -X * curvature, np.tile(-np.diag(curvature), (len(X), 1, 1))
+        W = -0.5 * (X * X) @ curvature
+        return W, -X * curvature, np.tile(-np.diag(curvature), (len(X), 1, 1)), np.finfo(float).eps * np.abs(W)
 
-    X, W = criterion._refine(objective, np.array([[1.0, -2.0], [-3.0, 0.5]]), 100)
+    X, W, *_ = criterion._refine(objective, np.array([[1.0, -2.0], [-3.0, 0.5]]), 100)
     assert len(trials) == 2 and np.abs(trials[1]).max() <= 1e-15
     assert np.abs(X).max() <= 1e-15 and np.all(W >= -1e-30)
 
@@ -131,16 +133,16 @@ def test_each_start_refined_alone_matches_the_batch(monkeypatch, case):
     original = criterion._refine
 
     def recording(objective, starts, max_iterations):
-        X, W = original(objective, starts, max_iterations)
-        runs.append((objective, starts, max_iterations, W))
-        return X, W
+        out = original(objective, starts, max_iterations)
+        runs.append((objective, starts, max_iterations, out[1]))
+        return out
 
     monkeypatch.setattr(criterion, "_refine", recording)
     res = optimize(model, params)
     (objective, starts, max_iterations, W), = runs
     assert len(starts) == 5 and [w for _, w in res.restarts] == list(W)
     for j in range(len(starts)):
-        _, alone = original(objective, starts[j:j + 1], max_iterations)
+        _, alone, *_ = original(objective, starts[j:j + 1], max_iterations)
         assert abs(alone[0] - W[j]) <= 1e-12 * abs(W[j])
 
 
@@ -252,17 +254,17 @@ def test_sweep_flags_an_unbounded_middle_point_and_warns_once():
 
 
 def test_engine_calls_per_sweep(monkeypatch):
-    # one scan call for all points, the refine rounds and one stationarity call
+    # one scan call for all points and the refine rounds
     calls = _counting_engine_calls(monkeypatch)
     model = _calibrated()
     sweep_theta(model, THETA_GRID)
-    assert len(calls) <= 8
+    assert len(calls) <= 6
     calls.clear()
     sweep_gamma(model, 1.0, GAMMA_GRID)
-    assert len(calls) <= 8
+    assert len(calls) <= 6
     calls.clear()
     sweep_theta(model, [16.0, 64.0])        # where a gradient first step overshoots
-    assert len(calls) <= 8
+    assert len(calls) <= 6
 
 
 def test_sweep_scan_calls_stay_within_the_scan_budget(monkeypatch):
