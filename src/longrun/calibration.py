@@ -261,7 +261,9 @@ def to_continuous(estimates: DiscreteEstimates, persistence_map: str = "euler") 
     the matrix logarithm ("log").  The m + n Brownian coordinates are fixed
     by convention: factor loadings are zero on the first m coordinates with
     a Cholesky factor on the rest, and the asset loadings are solved so the
-    joint innovation covariance is matched exactly.
+    joint innovation covariance is matched exactly, by a numpy solve.  Only
+    the "log" map calls ``scipy.linalg.logm``, which wakes scipy's thread
+    pool (see :mod:`longrun.linalg`).
     """
     if persistence_map not in ("euler", "log"):
         raise ValueError(f"persistence_map must be 'euler' or 'log', got {persistence_map!r}")
@@ -304,7 +306,7 @@ def to_continuous(estimates: DiscreteEstimates, persistence_map: str = "euler") 
         raise CalibrationNumericError(
             "factor innovation covariance is not positive definite"
         ) from exc
-    Sigma_f = scipy.linalg.solve_triangular(L_f, Vfr, lower=True).T   # (m, n)
+    Sigma_f = np.linalg.solve(L_f, Vfr).T   # (m, n)
     asset_block = Vrr - Sigma_f @ Sigma_f.T
     w = np.linalg.eigvalsh(0.5 * (asset_block + asset_block.T))
     if w[0] < -1e-10 * max(float(w[-1]), 1e-30):

@@ -1,4 +1,4 @@
-"""Stability check and the one Lyapunov route for small dense systems.
+"""Stability check, the one Lyapunov route and the matrix exponential for small dense systems.
 
 Everything here operates on the factor feedback matrix of a linear factor
 model, which must be a stability (Hurwitz) matrix: every eigenvalue has a
@@ -7,9 +7,21 @@ matrix L of ``S -> B S + S B'``, and a model inverts it once
 (:func:`inverse`): D and every offset S are their right-hand sides times
 L^-T.  :func:`refined_failures` holds a stack of such solutions
 to one residual check (:func:`residual_failures`), after one refinement step
-on the slices that fail it.  The products are dense and sized for the n <= 8
+on the slices that fail it.  :func:`expm` gives the Monte Carlo oracle its
+factor transition e^{B dt}.  The products are dense and sized for the n <= 8
 systems this package works with; they enforce the residual contract of the
 callers rather than chasing large-scale performance.
+
+One rule keeps every request path cheap: it calls no scipy.linalg routine
+that wakes scipy's thread pool.  SciPy ships its own OpenBLAS, apart from
+numpy's, and some of its routines wake that copy's worker thread, which then
+spins on another core for a while after the call.  In a probe that read the
+CPU time of every helper thread over 20 calls and a 0.5 s tail, each in a
+fresh process on a 2-core host, ``scipy.linalg.expm`` (2 x 2 to 8 x 8) took
+about 8 ms a call and used 200 ms of helper CPU, and ``solve_triangular``
+(2 x 2, 3 right-hand sides) 8 ms and 210 ms; :func:`expm` took 40-90 us and
+``np.linalg.solve`` 20 us, with no helper CPU.  :func:`inverse` (LAPACK
+getrf/getri through scipy) used none at any size up to 64 x 64.
 """
 
 from __future__ import annotations
@@ -152,10 +164,68 @@ def refined_failures(LT: np.ndarray, LT_inv: np.ndarray, S: np.ndarray, Q: np.nd
 def inverse(M: np.ndarray) -> np.ndarray:
     """The inverse of a small nonsingular square matrix, from its LU factors.
 
-    Applying it is a small matrix product; a LAPACK solve with several right-hand sides
-    takes OpenBLAS's threaded path, which in some processes stalls ~8 ms a call.
+    Applying it is a small matrix product.  LAPACK getrf/getri keep to the module's rule:
+    in its probe they never woke scipy's pool, at any size up to 64 x 64.
     """
     return scipy.linalg.lapack.dgetri(*scipy.linalg.lapack.dgetrf(M)[:2])[0]
+
+
+# Higham (2005), Table 2.3: the degree-m diagonal Pade approximant of e^A is
+# accurate to double precision when ||A||_1 <= theta_m.  Each entry is
+# (theta_m, the approximant's coefficients b_0..b_m).
+_PADE = {
+    3: (1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
+    5: (2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
+    7: (9.504178996162932e-1, (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0,
+                               56.0, 1.0)),
+    9: (2.097847961257068e0, (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0,
+                              30270240.0, 2162160.0, 110880.0, 3960.0, 90.0, 1.0)),
+    13: (5.371920351148152e0, (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+                               1187353796428800.0, 129060195264000.0, 10559470521600.0,
+                               670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+                               960960.0, 16380.0, 182.0, 1.0)),
+}
+
+
+def expm(M: np.ndarray) -> np.ndarray:
+    """The matrix exponential e^M of a real square matrix, by scaling and squaring.
+
+    Higham, "The scaling and squaring method for the matrix exponential revisited",
+    SIAM J. Matrix Anal. Appl. 26(4), 2005, Algorithm 2.3: the least Pade degree m in
+    {3, 5, 7, 9} whose theta_m bounds ||M||_1, else degree 13 on M / 2^s with s the least
+    that brings the norm under theta_13, then s squarings.  The approximant
+    (V - U)^-1 (V + U) takes numpy products and one numpy solve, so no call wakes
+    scipy's pool.  A 1 x 1 matrix gives ``np.exp(M)``, bit for bit as
+    ``scipy.linalg.expm`` does.
+    """
+    M = np.asarray(M, dtype=float)
+    if M.shape == (1, 1):
+        return np.exp(M)
+    norm = float(np.abs(M).sum(axis=0).max())
+    eye = np.eye(M.shape[0])
+    degree = next((d for d in (3, 5, 7, 9) if norm <= _PADE[d][0]), 13)
+    theta, b = _PADE[degree]
+    squarings = 0
+    if norm > theta:
+        squarings = int(np.ceil(np.log2(norm / theta)))
+        M = M / 2.0 ** squarings
+    M2 = M @ M
+    if degree < 13:
+        powers = [eye, M2]
+        while len(powers) <= degree // 2:
+            powers.append(powers[-1] @ M2)
+        U = M @ sum(b[2 * k + 1] * P for k, P in enumerate(powers))
+        V = sum(b[2 * k] * P for k, P in enumerate(powers))
+    else:
+        M4 = M2 @ M2
+        M6 = M4 @ M2
+        U = M @ (M6 @ (b[13] * M6 + b[11] * M4 + b[9] * M2) + b[7] * M6 + b[5] * M4 + b[3] * M2
+                 + b[1] * eye)
+        V = M6 @ (b[12] * M6 + b[10] * M4 + b[8] * M2) + b[6] * M6 + b[4] * M4 + b[2] * M2 + b[0] * eye
+    X = np.linalg.solve(V - U, V + U)
+    for _ in range(squarings):
+        X = X @ X
+    return X
 
 
 def psd_sqrt(M) -> np.ndarray:

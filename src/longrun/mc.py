@@ -16,7 +16,10 @@ drawn jointly with the Brownian increment through the exact conditional law
 the sample mean of u(T) an unbiased estimate of growth_rate * T at any step
 size; variances and covariances carry only O(dt) discretization error.  The
 Euler scheme, for convergence studies, is the same recursion with
-phi = I + B dt and nu = Lambda dW.
+phi = I + B dt and nu = Lambda dW.  The exponential is
+:func:`longrun.linalg.expm`, numpy products and one numpy solve, so a
+simulation calls no scipy.linalg routine and never wakes scipy's thread pool
+(the rule of :mod:`longrun.linalg`).
 
 One upper-triangular F = [[R, top], [0, tail]] (:func:`_shock_map`) maps
 standard normals z = (z_nu, z_rest) to [nu | Y] with exactly the step's
@@ -62,10 +65,9 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .calibration import TimeSeriesData
-from .linalg import DimensionError, NumericError, psd_sqrt
+from .linalg import DimensionError, NumericError, expm, psd_sqrt
 from .model import FactorModel, Strategy, _finite_real
 from .moments import _stack
 
@@ -224,12 +226,16 @@ class _Transition:
 
 
 def _transition(model: FactorModel, dt: float, scheme: str) -> _Transition:
-    """One-step factor transition and shock-coupling pieces."""
+    """One-step factor transition and shock-coupling pieces.
+
+    The exact phi = e^{B dt} is :func:`longrun.linalg.expm`, within rounding of
+    ``scipy.linalg.expm`` and bit for bit ``np.exp`` at n = 1.
+    """
     B, Lm, dlt = model.B, model.Lambda, model.prepared.D
     eye = np.eye(model.n)
     if scheme == "euler":
         return _Transition(eye + B * dt, Lm.T.copy(), None, psd_sqrt(dlt))
-    phi = scipy.linalg.expm(B * dt)
+    phi = expm(B * dt)
     step_cov = dlt - phi @ dlt @ phi.T
     M = model.prepared.B_inv @ ((phi - eye) @ Lm)     # cov(nu, dW) with Var(dW) = dt I
     resid = step_cov - (M @ M.T) / dt

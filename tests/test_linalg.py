@@ -10,6 +10,7 @@ from longrun.linalg import (
     DimensionError,
     NumericError,
     check_stability,
+    expm,
     inverse,
     lyapunov_operator,
     psd_sqrt,
@@ -179,3 +180,18 @@ def test_psd_sqrt_rejects_indefinite():
         psd_sqrt(np.diag([1.0, -0.5]))
     with pytest.raises(NumericError):
         psd_sqrt(np.array([[-1e-3]]))
+
+
+def test_expm_matches_scipy():
+    # scipy.linalg.expm is the oracle: both are Pade scaling and squaring, so
+    # they agree to rounding at small norms and to the squarings' growth at dt = 10
+    for seed in range(400):
+        rng = np.random.default_rng(seed)
+        B = random_stable_model(rng, 1 + seed % 3, 1 + seed % 8).B
+        for dt, rtol in ((0.01, 1e-15), (0.1, 1e-15), (1.0, 1e-12), (10.0, 1e-12)):
+            ref = scipy.linalg.expm(B * dt)
+            assert np.abs(expm(B * dt) - ref).max() <= rtol * np.abs(ref).max(), (seed, dt)
+    for n in (2, 3, 8):
+        assert np.array_equal(expm(np.zeros((n, n))), np.eye(n))
+    x = np.array([[-0.37]])     # the reference model's transitions are 1 x 1
+    assert np.array_equal(expm(x), np.exp(x))

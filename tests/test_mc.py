@@ -9,15 +9,19 @@ from numpy.testing import assert_allclose
 
 from conftest import random_stable_model, scalar_strategy
 from longrun import (
+    CriterionParams,
     DimensionError,
     FactorModel,
     ModelValidationError,
+    OptimizerConfig,
     PathStats,
     SimConfig,
     SimulationError,
     Strategy,
+    calibrate,
     estimate_asymptotics,
     moments,
+    optimize,
     simulate,
     simulate_discrete,
     stationary_covariance,
@@ -616,3 +620,23 @@ def test_stack_errors_name_the_strategy(model):
             simulate(model, stack, cfg)
         with pytest.raises(SimulationError, match=r"non-finite mean_uxx_se, strategy 1"):
             simulate(model, (np.array([[1.0], [1e140]]), np.zeros((2, 1, 1))), cfg)
+
+
+def test_requests_call_no_scipy_routine_that_wakes_its_pool(monkeypatch):
+    # scipy.linalg.expm and solve_triangular wake the worker of scipy's own
+    # OpenBLAS copy, which then spins on another core: no request reaches them
+    def refuse(*args, **kwargs):
+        raise AssertionError("a request path called a scipy.linalg routine that wakes its pool")
+
+    for name in ("expm", "solve_triangular"):
+        monkeypatch.setattr(scipy.linalg, name, refuse)
+    model = random_stable_model(np.random.default_rng(0), 3, 2)
+    assert calibrate(simulate_discrete(model, 240, seed=1)).model.B.shape == (2, 2)
+    strategy = Strategy(h=np.array([0.4, -0.2, 0.3]), H=np.full((3, 2), 0.1))
+    assert np.isfinite(moments(model, strategy).growth_rate)
+    best = optimize(model, CriterionParams(theta=1.0, gamma=np.zeros(2)),
+                    OptimizerConfig(local_restarts=2))
+    cfg = SimConfig(dt=0.5, horizon=10.0, paths=2 * BLOCK, seed=2)
+    assert np.isfinite(simulate(model, best.strategy, cfg, threads=2).mean_u)
+    fit = estimate_asymptotics(model, strategy, cfg, [5.0, 10.0, 15.0, 20.0], threads=2)
+    assert np.isfinite(fit.growth_slope)
